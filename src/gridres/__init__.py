@@ -40,6 +40,7 @@ from .resistance import (
     pairwise_reff,
     rave,
     rave_definition_oracle,
+    rave_dense_spectral,
     rave_hypercube_binomial,
     rave_hypercube_recursive,
     rave_ring_exact,
@@ -97,6 +98,7 @@ __all__ = [
     "pairwise_reff",
     "rave",
     "rave_definition_oracle",
+    "rave_dense_spectral",
     "rave_hypercube_binomial",
     "rave_hypercube_recursive",
     "rave_ring_exact",

@@ -17,12 +17,12 @@ class NoConvergence(GridResError):
     """The iterative eigensolver did not converge within the sweep cap."""
 
 
-class SingularSystem(GridResError):
-    """The grounded linear system is singular; the graph is disconnected."""
-
-
 class DisconnectedGraph(GridResError):
     """More than one null Laplacian mode was detected."""
+
+
+class SingularSystem(DisconnectedGraph):
+    """The grounded linear system is singular; the graph is disconnected."""
 
 
 class DisconnectedSpectrum(DisconnectedGraph):

@@ -8,11 +8,25 @@ shared input type of every computation in the package.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
 from .errors import InvalidFamily
+
+
+def require_int(value: object, what: str) -> int:
+    """``value`` as a Python int, or InvalidFamily if it is not an integer.
+
+    Accepts whatever ``operator.index`` accepts (Python and numpy integers);
+    floats are refused even when integral, so a descriptor is never
+    silently truncated.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidFamily(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -27,6 +41,7 @@ class Ring:
     m: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", require_int(self.m, "Ring length"))
         if self.m < 1:
             raise InvalidFamily(f"Ring requires m >= 1, got {self.m}")
 
@@ -46,7 +61,7 @@ class Torus:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(m) for m in self.dims)
+        dims = tuple(require_int(m, "Torus side length") for m in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) == 0:
             raise InvalidFamily("Torus requires at least one dimension")
@@ -70,6 +85,7 @@ class Hypercube:
     d: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", require_int(self.d, "Hypercube dimension"))
         if self.d < 0:
             raise InvalidFamily(f"Hypercube requires d >= 0, got {self.d}")
 
@@ -85,12 +101,12 @@ class Explicit:
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", require_int(n, "Explicit node count"))
         if self.n < 1:
             raise InvalidFamily(f"Explicit requires n >= 1, got {n}")
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = require_int(u, "edge endpoint"), require_int(v, "edge endpoint")
             if u == v:
                 raise InvalidFamily(f"self-loop at node {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):

@@ -50,10 +50,12 @@ def build_laplacian(g: GraphFamily, dense_limit: int = DENSE_LIMIT) -> DenseLapl
     n = g.node_count()
     if n > dense_limit:
         raise SizeExceeded(f"{n} nodes exceed the dense limit {dense_limit}")
+    edges = np.array(list(family_edges(g)), dtype=np.intp).reshape(-1, 2)
+    u, v = edges[:, 0], edges[:, 1]
     lap = np.zeros((n, n))
-    for u, v in family_edges(g):
-        lap[u, v] -= 1.0
-        lap[v, u] -= 1.0
-        lap[u, u] += 1.0
-        lap[v, v] += 1.0
+    # family_edges yields each unordered pair once, so plain assignment
+    # (not accumulation) sets every off-diagonal entry.
+    lap[u, v] = -1.0
+    lap[v, u] = -1.0
+    lap[np.diag_indices(n)] = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
     return DenseLaplacian(lap)

@@ -29,6 +29,7 @@ from .spectrum import side_contribution_table
 from .summation import (
     BASE_BLOCK,
     EPS,
+    MAX_TERMS,
     CompensatedSum,
     block_ranges,
     block_sum,
@@ -37,7 +38,6 @@ from .summation import (
 )
 
 MIN_BUDGET = 10**4
-MAX_TERMS = 10**8
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,11 @@ hypercube binomial sum and recursion), spectral sums over closed-form
 eigenvalue streams, and the electrical-network oracle that solves grounded
 linear systems straight from the definition. Cross-checking them is the
 package's core correctness argument.
+
+Explicit graphs have no closed-form spectrum. ``rave`` takes the Green
+trace route for them (one Cholesky factorization); ``rave_dense_spectral``
+runs the Jacobi eigensolver instead and exists so that the oracle
+cross-checks compare two routes that share no solver.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .eigen import eigenvalues_symmetric
 from .errors import InvalidFamily, Overflow, SizeExceeded
-from .families import Explicit, GraphFamily, Hypercube, Ring, Torus
+from .families import Explicit, GraphFamily, Hypercube, Ring, Torus, require_int
 from .laplacian import build_laplacian
 from .linsolve import GroundedSolver
 from .spectrum import (
@@ -26,14 +31,14 @@ from .spectrum import (
     stream_from_eigenvalues,
     torus_spectrum,
 )
-from .summation import EPS, CompensatedSum
+from .summation import EPS, MAX_TERMS, CompensatedSum, block_sum, reduce_blocks
 
-MAX_TERMS = 10**8
 ORACLE_NODE_CAP = 256
 
 
 def rave_ring_exact(m: int) -> ResistanceResult:
     """Closed-form ring average resistance m/12 - 1/(12 m)."""
+    m = require_int(m, "ring length")
     if m < 1:
         raise InvalidFamily(f"ring length must be >= 1, got {m}")
     value = m / 12.0 - 1.0 / (12.0 * m)
@@ -58,6 +63,7 @@ def rave_hypercube_binomial(d: int) -> ResistanceResult:
     Evaluates 2^{-d} * sum_{m=1..d} C(d, m) / (2m) with compensated
     summation, m descending so the smallest terms enter last.
     """
+    d = require_int(d, "hypercube dimension")
     if d < 0:
         raise InvalidFamily(f"hypercube dimension must be >= 0, got {d}")
     if d > MAX_EXACT_HYPERCUBE:
@@ -129,6 +135,35 @@ def rave_definition_oracle(g: GraphFamily, node_cap: int = ORACLE_NODE_CAP) -> R
     return ResistanceResult(value, "oracle_definition", n * (n - 1) // 2, err)
 
 
+def _rave_green_trace(g: GraphFamily, threads: int = 1) -> ResistanceResult:
+    """Average resistance from the trace of the Laplacian pseudo-inverse.
+
+    (1/N) sum 1/lambda over the nonzero eigenvalues is tr(L^+)/N, and with
+    the grounded Green matrix G, tr(L^+) = tr G - 1^T G 1 / N. Both sums are
+    compensated, and err_bound is their summation bounds scaled as the
+    value is.
+    """
+    n = g.node_count()
+    green = GroundedSolver(build_laplacian(g), ground=0).green_matrix()
+    trace = block_sum(np.diag(green))
+    flat = green.ravel()
+    total = reduce_blocks(flat.size, lambda lo, hi: flat[lo:hi], threads)
+    value = (trace.value - total.value / n) / n
+    err = (trace.err_bound + total.err_bound / n) / n
+    return ResistanceResult(value, "green_trace", n - 1, err)
+
+
+def rave_dense_spectral(g: GraphFamily, threads: int = 1) -> ResistanceResult:
+    """Spectral average resistance from a Jacobi eigensolve of the Laplacian.
+
+    Slow (each cyclic Jacobi sweep is n(n-1)/2 Python-level rotations), but
+    it shares no solver with the Cholesky-based oracle, so it is the
+    spectral side of the oracle cross-check for explicit graphs.
+    """
+    eigs = eigenvalues_symmetric(build_laplacian(g), tol=1e-13)
+    return spectral_rave(stream_from_eigenvalues(eigs), threads=threads)
+
+
 def rave(g: GraphFamily, threads: int = 1, max_terms: int = MAX_TERMS) -> ResistanceResult:
     """Average resistance of any family, using the natural method for each."""
     if isinstance(g, Ring):
@@ -138,8 +173,7 @@ def rave(g: GraphFamily, threads: int = 1, max_terms: int = MAX_TERMS) -> Resist
     if isinstance(g, Hypercube):
         return rave_hypercube_binomial(g.d)
     if isinstance(g, Explicit):
-        eigs = eigenvalues_symmetric(build_laplacian(g), tol=1e-13)
-        return spectral_rave(stream_from_eigenvalues(eigs), threads=threads)
+        return _rave_green_trace(g, threads=threads)
     raise InvalidFamily(f"unknown graph family {type(g).__name__}")
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .eigen import null_mode_count
 from .errors import DisconnectedSpectrum, Overflow
 from .families import Torus, _row_major_strides
-from .summation import CompensatedSum, block_sum, reduce_blocks
+from .summation import BASE_BLOCK, CompensatedSum, block_sum, reduce_blocks
 
 # Largest dimension whose binomial multiplicities all stay in the exact
 # 64-bit integer range.
@@ -29,7 +29,9 @@ class ResistanceResult:
     """A computed average-resistance value plus how it was obtained."""
 
     value: float
-    method: str  # closed_form | spectral | oracle_definition | recursion
+    # closed_form | spectral (closed-form or Jacobi eigenvalues) |
+    # green_trace (explicit graphs, Cholesky) | oracle_definition | recursion
+    method: str
     terms: int
     err_bound: float
 
@@ -83,8 +85,8 @@ class SpectrumStream:
     def pairs(self) -> Iterator[tuple[float, int]]:
         """Yield (eigenvalue, multiplicity), the zero mode included."""
         if self.kind == "torus":
-            for lo in range(0, self.count, 65536):
-                for lam in self.lambda_block(lo, min(lo + 65536, self.count)):
+            for lo in range(0, self.count, BASE_BLOCK):
+                for lam in self.lambda_block(lo, min(lo + BASE_BLOCK, self.count)):
                     yield float(lam), 1
         elif self.kind == "hypercube":
             yield from self.mult_pairs

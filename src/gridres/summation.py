@@ -19,6 +19,8 @@ EPS = float(np.finfo(np.float64).eps)
 # Fixed partition unit; changing it changes last-bit results, so it is a
 # package constant rather than a tuning knob.
 BASE_BLOCK = 65536
+# Default cap on the terms of one spectral or quadrature sum.
+MAX_TERMS = 10**8
 _LANES = 512
 
 T = TypeVar("T")

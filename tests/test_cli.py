@@ -39,6 +39,16 @@ def test_rave_graph_file(capsys, tmp_path):
     code, out, _ = run(capsys, "rave", "--graph", str(path))
     assert code == 0
     assert float(out.split()[0]) == pytest.approx(2.0 / 9.0, abs=1e-12)
+    assert out.split()[1] == "method=green_trace"
+
+
+def test_rave_disconnected_graph_exits_3(capsys, tmp_path):
+    path = tmp_path / "two_edges.txt"
+    path.write_text("4\n0 1\n2 3\n")
+    code, out, err = run(capsys, "rave", "--graph", str(path))
+    assert code == 3
+    assert out == ""
+    assert "disconnected" in err
 
 
 def test_usage_errors_exit_2(capsys):

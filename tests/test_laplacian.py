@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gridres import Explicit, Hypercube, Ring, SizeExceeded, Torus, build_laplacian
+from gridres.families import family_edges
 
 
 def test_single_edge():
@@ -42,6 +43,23 @@ def test_invariants_hold():
         lap.validate()
         assert np.all(lap.matrix.sum(axis=1) == 0.0)
         assert np.array_equal(lap.matrix, lap.matrix.T)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [Ring(7), Torus((3, 4, 5)), Hypercube(4), Explicit(6, [(0, 5), (1, 2), (2, 5), (3, 4)])],
+)
+def test_matches_edge_by_edge_assembly(family):
+    n = family.node_count()
+    reference = np.zeros((n, n))
+    for u, v in family_edges(family):
+        reference[u, v] -= 1.0
+        reference[v, u] -= 1.0
+        reference[u, u] += 1.0
+        reference[v, v] += 1.0
+    matrix = build_laplacian(family).matrix
+    assert matrix.dtype == reference.dtype
+    assert np.array_equal(matrix, reference)
 
 
 def test_dense_limit():

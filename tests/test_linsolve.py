@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridres import (
+    DisconnectedGraph,
     Explicit,
     GroundedSolver,
     Ring,
@@ -45,6 +46,7 @@ def test_disconnected_graph_is_singular():
     lap = build_laplacian(Explicit(4, [(0, 1), (2, 3)]))
     with pytest.raises(SingularSystem):
         solve_grounded(lap, np.array([1.0, -1.0, 0.0, 0.0]), ground=0)
+    assert issubclass(SingularSystem, DisconnectedGraph)
 
 
 def test_green_matrix_matches_column_solves():

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridres.eigen
+import gridres.resistance
 from gridres import (
+    DisconnectedGraph,
     Explicit,
     Hypercube,
     InvalidFamily,
@@ -19,6 +22,7 @@ from gridres import (
     pairwise_reff,
     rave,
     rave_definition_oracle,
+    rave_dense_spectral,
     rave_hypercube_binomial,
     rave_hypercube_recursive,
     rave_ring_exact,
@@ -37,6 +41,14 @@ def test_ring_exact_examples():
     assert rave_ring_exact(5).method == "closed_form"
     with pytest.raises(InvalidFamily):
         rave_ring_exact(0)
+
+
+def test_closed_forms_reject_non_integer_arguments():
+    with pytest.raises(InvalidFamily, match="integer"):
+        rave_ring_exact(2.5)
+    with pytest.raises(InvalidFamily, match="integer"):
+        rave_hypercube_binomial(2.5)
+    assert rave_ring_exact(np.int64(3)).value == rave_ring_exact(3).value
 
 
 @pytest.mark.parametrize("m", [3, 10, 100, 1000, 10000])
@@ -151,8 +163,36 @@ def test_rave_dispatch():
     assert rave(Torus((4, 4))).method == "spectral"
     assert rave(Hypercube(3)).method == "closed_form"
     explicit = rave(K3)
-    assert explicit.method == "spectral"
-    assert abs(explicit.value - 2.0 / 9.0) <= 1e-12
+    assert explicit.method == "green_trace"
+    assert abs(explicit.value - 2.0 / 9.0) <= 1e-14
+    assert rave_dense_spectral(K3).method == "spectral"
+
+
+def test_green_trace_matches_jacobi_and_oracle():
+    rng = np.random.Generator(np.random.PCG64(2024))
+    for _ in range(20):
+        g = random_connected_graph(rng, max_nodes=50)
+        value = rave(g).value
+        for reference in (rave_dense_spectral(g).value, rave_definition_oracle(g).value):
+            assert abs(value - reference) <= 1e-10 * reference
+
+
+def test_green_trace_never_calls_jacobi(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rave of an explicit graph called the Jacobi eigensolver")
+
+    monkeypatch.setattr(gridres.eigen, "eigenvalues_symmetric", forbidden)
+    monkeypatch.setattr(gridres.resistance, "eigenvalues_symmetric", forbidden)
+    g = random_connected_graph(np.random.Generator(np.random.PCG64(7)), max_nodes=30)
+    assert rave(g).method == "green_trace"
+    assert rave(Explicit(1, [])).value == 0.0
+
+
+def test_rave_disconnected_explicit_graph():
+    with pytest.raises(DisconnectedGraph):
+        rave(Explicit(4, [(0, 1), (2, 3)]))
+    with pytest.raises(DisconnectedGraph):
+        rave_dense_spectral(Explicit(4, [(0, 1), (2, 3)]))
 
 
 def test_growth_coefficient_values():
