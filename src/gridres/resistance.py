@@ -31,7 +31,7 @@ from .spectrum import (
     stream_from_eigenvalues,
     torus_spectrum,
 )
-from .summation import EPS, MAX_TERMS, CompensatedSum, block_sum, reduce_blocks
+from .summation import EPS, MAX_TERMS, CompensatedSum, block_sum
 
 ORACLE_NODE_CAP = 256
 
@@ -135,25 +135,25 @@ def rave_definition_oracle(g: GraphFamily, node_cap: int = ORACLE_NODE_CAP) -> R
     return ResistanceResult(value, "oracle_definition", n * (n - 1) // 2, err)
 
 
-def _rave_green_trace(g: GraphFamily, threads: int = 1) -> ResistanceResult:
+def _rave_green_trace(g: GraphFamily) -> ResistanceResult:
     """Average resistance from the trace of the Laplacian pseudo-inverse.
 
     (1/N) sum 1/lambda over the nonzero eigenvalues is tr(L^+)/N, and with
     the grounded Green matrix G, tr(L^+) = tr G - 1^T G 1 / N. Both sums are
-    compensated, and err_bound is their summation bounds scaled as the
-    value is.
+    compensated. err_bound covers the rounding of these two sums only, scaled
+    as the value is; the rounding of the Cholesky factorization and of the
+    solves that produce G is not in it.
     """
     n = g.node_count()
     green = GroundedSolver(build_laplacian(g), ground=0).green_matrix()
     trace = block_sum(np.diag(green))
-    flat = green.ravel()
-    total = reduce_blocks(flat.size, lambda lo, hi: flat[lo:hi], threads)
+    total = block_sum(green)
     value = (trace.value - total.value / n) / n
     err = (trace.err_bound + total.err_bound / n) / n
     return ResistanceResult(value, "green_trace", n - 1, err)
 
 
-def rave_dense_spectral(g: GraphFamily, threads: int = 1) -> ResistanceResult:
+def rave_dense_spectral(g: GraphFamily) -> ResistanceResult:
     """Spectral average resistance from a Jacobi eigensolve of the Laplacian.
 
     Slow (each cyclic Jacobi sweep is n(n-1)/2 Python-level rotations), but
@@ -161,7 +161,7 @@ def rave_dense_spectral(g: GraphFamily, threads: int = 1) -> ResistanceResult:
     spectral side of the oracle cross-check for explicit graphs.
     """
     eigs = eigenvalues_symmetric(build_laplacian(g), tol=1e-13)
-    return spectral_rave(stream_from_eigenvalues(eigs), threads=threads)
+    return spectral_rave(stream_from_eigenvalues(eigs))
 
 
 def rave(g: GraphFamily, threads: int = 1, max_terms: int = MAX_TERMS) -> ResistanceResult:
@@ -173,7 +173,7 @@ def rave(g: GraphFamily, threads: int = 1, max_terms: int = MAX_TERMS) -> Resist
     if isinstance(g, Hypercube):
         return rave_hypercube_binomial(g.d)
     if isinstance(g, Explicit):
-        return _rave_green_trace(g, threads=threads)
+        return _rave_green_trace(g)
     raise InvalidFamily(f"unknown graph family {type(g).__name__}")
 
 

@@ -30,7 +30,8 @@ class ResistanceResult:
 
     value: float
     # closed_form | spectral (closed-form or Jacobi eigenvalues) |
-    # green_trace (explicit graphs, Cholesky) | oracle_definition | recursion
+    # green_trace (explicit graphs, Cholesky; err_bound covers the two final
+    # sums only) | oracle_definition | recursion
     method: str
     terms: int
     err_bound: float

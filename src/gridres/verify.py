@@ -78,7 +78,7 @@ def spectral_value(family: GraphFamily, threads: int = 1) -> float:
     would reach them through the same Cholesky factorization as the oracle.
     """
     if isinstance(family, Explicit):
-        return rave_dense_spectral(family, threads=threads).value
+        return rave_dense_spectral(family).value
     return rave(family, threads=threads).value
 
 

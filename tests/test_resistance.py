@@ -165,6 +165,8 @@ def test_rave_dispatch():
     explicit = rave(K3)
     assert explicit.method == "green_trace"
     assert abs(explicit.value - 2.0 / 9.0) <= 1e-14
+    # err_bound covers the rounding of the two compensated sums only
+    assert 0.0 <= explicit.err_bound <= 1e-14 * explicit.value
     assert rave_dense_spectral(K3).method == "spectral"
 
 
