@@ -1,14 +1,17 @@
 """Estimators for the continuum limit of the spectral average.
 
 The target is the integral over the unit cube of
-1 / (2d - 2 sum_i cos(2 pi x_i)), which the equal-sided torus average
-approaches as the side length grows (d >= 3; the integrand's origin
-singularity is integrable there and the integral diverges for d = 2).
+1 / (2d - 2 sum_i cos(2 pi x_i)) = 1 / (4 sum_i sin^2(pi x_i)), which the
+equal-sided torus average approaches as the side length grows (d >= 3; the
+integrand's origin singularity is integrable there and the integral
+diverges for d = 2).
 
-Two estimators are provided: a midpoint rule whose sample points can never
-hit the singular lattice images of the origin, and seeded Monte Carlo with
-a fixed per-block sample stream so results do not depend on the worker
-count.
+The lattice sums are the torus spectral sum in table form (see
+``spectrum``): the midpoint rule sums 1 / sum_i t[h_i] over a grid^d
+midpoint table, whose points can never hit the singular lattice images of
+the origin, and ``interior_sum`` sums the same over the cycle table
+without its zero entry. Seeded Monte Carlo draws a fixed per-block sample
+stream, so no result depends on the worker count.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .errors import (
     SingularPoint,
     SizeExceeded,
 )
-from .spectrum import side_contribution_table
+from .families import require_int
+from .spectrum import side_contribution_table, table_sums
 from .summation import (
     BASE_BLOCK,
     EPS,
@@ -51,21 +55,27 @@ class IntegralEstimate:
     params: dict[str, Any]
 
 
+def _denominators(x: np.ndarray) -> np.ndarray:
+    """Row-wise 4 sum_i sin^2(pi x_i), the integrand's denominator.
+
+    Coordinates are reduced to their distance from the nearest integer
+    before the sine evaluation, so the denominator keeps full relative
+    accuracy close to the singular lattice images of the origin. A zero
+    denominator raises SingularPoint.
+    """
+    s = np.sin(np.pi * (x - np.round(x)))
+    denom = 4.0 * np.einsum("ij,ij->i", s, s)
+    if np.any(denom == 0.0):
+        raise SingularPoint("integrand evaluated at a lattice image of the origin")
+    return denom
+
+
 def integrand_f(x: Sequence[float]) -> float:
     """Integrand 1 / (2d - 2 sum cos(2 pi x_i)) at one point.
 
-    Coordinates are reduced to their distance from the nearest integer
-    before the sine evaluation, so the denominator 4 sum sin^2(pi x_i)
-    keeps full relative accuracy arbitrarily close to the singular lattice
-    images of the origin. Points with every coordinate integral are
-    rejected.
+    Points with every coordinate integral raise SingularPoint.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    reduced = arr - np.round(arr)
-    if np.all(reduced == 0.0):
-        raise SingularPoint(f"integrand is singular at {tuple(arr)}")
-    s = np.sin(np.pi * reduced)
-    return 1.0 / (4.0 * float(s @ s))
+    return float(1.0 / _denominators(np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 def estimate_integral(
@@ -82,6 +92,8 @@ def estimate_integral(
     errors. riemann_refined: midpoint rule on the largest grid fitting the
     budget, with the half-resolution grid supplying a deterministic err.
     """
+    d = require_int(d, "dimension")
+    budget = require_int(budget, "budget")
     if d <= 2:
         raise DivergentIntegral(f"the integral diverges for d <= 2 (got d={d})")
     if budget < MIN_BUDGET:
@@ -99,12 +111,7 @@ def _monte_carlo(d: int, budget: int, seed: int, threads: int) -> IntegralEstima
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
         )
-        x = rng.random((hi - lo, d))
-        s = np.sin(np.pi * (x - np.round(x)))
-        denom = 4.0 * np.einsum("ij,ij->i", s, s)
-        if np.any(denom == 0.0):
-            raise SingularPoint("a sample landed exactly on a lattice origin image")
-        f = 1.0 / denom
+        f = 1.0 / _denominators(rng.random((hi - lo, d)))
         return block_sum(f), block_sum(f * f)
 
     partials = map_blocks(block_ranges(budget), block_stats, threads)
@@ -146,32 +153,15 @@ def _largest_grid(d: int, budget: int) -> int:
     return grid
 
 
-def _midpoint_table(grid: int) -> np.ndarray:
-    # Denominator contributions at cell midpoints (k + 1/2) / grid; the
-    # half offset keeps every sample away from the origin images. Built on
-    # the lower half and mirrored, so accuracy near the upper boundary
-    # matches the (fully accurate) small-angle side.
-    half = (grid + 1) // 2
-    k = np.arange(half, dtype=np.float64)
-    s = np.sin(np.pi * ((k + 0.5) / grid))
-    table = np.empty(grid)
-    table[:half] = 4.0 * s * s
-    table[half:] = table[: grid - half][::-1]
-    return table
+def _inverse_sum(table: np.ndarray, d: int, threads: int) -> float:
+    """Compensated sum of 1 / sum_i table[h_i] over every h in [0, len(table))^d."""
+    tables = (table,) * d
+    total = table.size**d
+    return reduce_blocks(total, lambda lo, hi: 1.0 / table_sums(tables, lo, hi), threads).value
+
 
 def _midpoint_mean(d: int, grid: int, threads: int) -> float:
-    table = _midpoint_table(grid)
-    total = grid**d
-
-    def terms(lo: int, hi: int) -> np.ndarray:
-        idx = np.arange(lo, hi)
-        denom = np.zeros(hi - lo)
-        for _ in range(d):
-            denom += table[idx % grid]
-            idx //= grid
-        return 1.0 / denom
-
-    return reduce_blocks(total, terms, threads).value / total
+    return _inverse_sum(side_contribution_table(grid, midpoint=True), d, threads) / grid**d
 
 
 def interior_sum(
@@ -186,22 +176,13 @@ def interior_sum(
     of this sum sits under the integrand's graph, so the value is a lower
     Riemann sum of the continuum integral in the same dimension.
     """
+    m = require_int(m, "side length")
+    dims = require_int(dims, "dimension")
     if m < 3:
         raise ValueError(f"side length must be >= 3, got {m}")
     if dims < 1:
         raise ValueError(f"dimension must be >= 1, got {dims}")
-    interior = m - 1
-    total = interior**dims
+    total = (m - 1) ** dims
     if total > max_terms:
         raise SizeExceeded(f"{total} interior terms exceed the cap {max_terms}")
-    table = side_contribution_table(m)
-
-    def terms(lo: int, hi: int) -> np.ndarray:
-        idx = np.arange(lo, hi)
-        lam = np.zeros(hi - lo)
-        for _ in range(dims):
-            lam += table[1 + (idx % interior)]
-            idx //= interior
-        return 1.0 / lam
-
-    return reduce_blocks(total, terms, threads).value / float(m) ** dims
+    return _inverse_sum(side_contribution_table(m)[1:], dims, threads) / float(m) ** dims

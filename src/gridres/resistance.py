@@ -19,13 +19,13 @@ import math
 import numpy as np
 
 from .eigen import eigenvalues_symmetric
-from .errors import InvalidFamily, Overflow, SizeExceeded
-from .families import Explicit, GraphFamily, Hypercube, Ring, Torus, require_int
+from .errors import InvalidFamily, SizeExceeded
+from .families import Explicit, GraphFamily, Hypercube, Ring, Torus
 from .laplacian import build_laplacian
 from .linsolve import GroundedSolver
 from .spectrum import (
-    MAX_EXACT_HYPERCUBE,
     ResistanceResult,
+    exact_hypercube_dimension,
     hypercube_spectrum,
     spectral_rave,
     stream_from_eigenvalues,
@@ -38,9 +38,7 @@ ORACLE_NODE_CAP = 256
 
 def rave_ring_exact(m: int) -> ResistanceResult:
     """Closed-form ring average resistance m/12 - 1/(12 m)."""
-    m = require_int(m, "ring length")
-    if m < 1:
-        raise InvalidFamily(f"ring length must be >= 1, got {m}")
+    m = Ring(m).m
     value = m / 12.0 - 1.0 / (12.0 * m)
     return ResistanceResult(value, "closed_form", 1, 2.0 * EPS * abs(value))
 
@@ -63,13 +61,7 @@ def rave_hypercube_binomial(d: int) -> ResistanceResult:
     Evaluates 2^{-d} * sum_{m=1..d} C(d, m) / (2m) with compensated
     summation, m descending so the smallest terms enter last.
     """
-    d = require_int(d, "hypercube dimension")
-    if d < 0:
-        raise InvalidFamily(f"hypercube dimension must be >= 0, got {d}")
-    if d > MAX_EXACT_HYPERCUBE:
-        raise Overflow(
-            f"binomial multiplicities for d={d} exceed the exact integer range"
-        )
+    d = exact_hypercube_dimension(d)
     acc = CompensatedSum()
     for m in range(d, 0, -1):
         acc.add(math.comb(d, m) / (2.0 * m))
@@ -83,8 +75,7 @@ def rave_hypercube_recursive(d: int) -> ResistanceResult:
     r(0) = 0 and r(k) = r(k-1)/2 + (1 - 2^{-k}) / (2k): adding a dimension
     halves the previous value and contributes one new spectral layer.
     """
-    if d < 0:
-        raise InvalidFamily(f"hypercube dimension must be >= 0, got {d}")
+    d = Hypercube(d).d
     value = 0.0
     for k in range(1, d + 1):
         value = 0.5 * value + (1.0 - 0.5**k) / (2.0 * k)
@@ -183,8 +174,7 @@ def hypercube_ad_direct(d: int) -> float:
     Scales the hypercube upper-bound sum by the dimension; the sequence
     tends to 1, certifying that d times the average resistance does too.
     """
-    if d < 0:
-        raise InvalidFamily(f"dimension must be >= 0, got {d}")
+    d = Hypercube(d).d
     if d == 0:
         return 0.0
     acc = CompensatedSum()
@@ -195,8 +185,7 @@ def hypercube_ad_direct(d: int) -> float:
 
 def hypercube_ad_recursive(d: int) -> float:
     """Same coefficient via a_{k+1} = (1 + 1/k) a_k / 2 + 1/2, a_0 = 0."""
-    if d < 0:
-        raise InvalidFamily(f"dimension must be >= 0, got {d}")
+    d = Hypercube(d).d
     if d == 0:
         return 0.0
     a = 0.5  # a_1, the recursion seed past the vacuous k = 0 step

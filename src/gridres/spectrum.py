@@ -1,23 +1,30 @@
 """Closed-form Laplacian spectra of tori and hypercubes, and spectral averaging.
 
-Torus eigenvalues come from the product-of-cycles structure: for an index
-vector h the eigenvalue is the sum over dimensions of 2 - 2 cos(2 pi h_i / M_i).
-Hypercube eigenvalues are 2m with binomial multiplicities. Streams never
-materialize O(N) storage; consumers pull fixed-size index blocks.
+Every spectrum here is a sum of per-axis tables. A stream holds tables
+t_0, ..., t_{d-1}; the eigenvalue at the row-major flat index of
+h = (h_0, ..., h_{d-1}) is t_0[h_0] + ... + t_{d-1}[h_{d-1}]. A torus has
+one cycle table 4 sin^2(pi k / M_i) per side; a hypercube has one axis of
+eigenvalues 2m with exact binomial multiplicities C(d, m); a dense
+eigensolve has one axis of sorted eigenvalues. The first
+``zero_multiplicity`` flat indices are the null modes. Consumers pull
+fixed-size flat-index blocks, so no stream materializes O(N) storage.
+``table_sums`` is the one decode of flat indices; the continuum sums in
+``quadrature`` use it too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .eigen import null_mode_count
 from .errors import DisconnectedSpectrum, Overflow
-from .families import Torus, _row_major_strides
-from .summation import BASE_BLOCK, CompensatedSum, block_sum, reduce_blocks
+from .families import Hypercube, Torus
+from .summation import block_ranges, reduce_blocks
 
 # Largest dimension whose binomial multiplicities all stay in the exact
 # 64-bit integer range.
@@ -37,148 +44,132 @@ class ResistanceResult:
     err_bound: float
 
 
-def side_contribution_table(m: int) -> np.ndarray:
-    """Per-dimension eigenvalue contributions c[k] = 2 - 2 cos(2 pi k / m).
+def side_contribution_table(m: int, midpoint: bool = False) -> np.ndarray:
+    """Per-axis contributions t[k] = 4 sin^2(pi x_k) for k in [0, m).
 
-    Evaluated as 4 sin^2(pi k / m) on the reduced rational argument k/m,
-    which keeps full relative accuracy for small angles, then mirrored so
-    c[k] == c[m - k] holds bit-exactly.
+    Cycle points x_k = k/m give the cycle eigenvalues 2 - 2 cos(2 pi k/m);
+    midpoints x_k = (k + 1/2)/m give the continuum grid's cell midpoints,
+    which never hit the lattice images of the origin. sin is evaluated on
+    the reduced rational argument, which keeps full relative accuracy for
+    small angles, and only on the lower half: the upper half mirrors it
+    bit-exactly, t[k] == t[m - k] for cycles and t[k] == t[m - 1 - k] for
+    midpoints.
     """
-    half = m // 2
-    k = np.arange(half + 1, dtype=np.float64)
+    shift = int(midpoint)
+    lower = (m + 2 - shift) // 2
+    k = np.arange(lower, dtype=np.float64)
+    if midpoint:
+        k += 0.5
     s = np.sin(np.pi * (k / m))
-    c = np.empty(m)
-    c[: half + 1] = 4.0 * s * s
-    c[half + 1 :] = c[1 : m - half][::-1]
-    c[0] = 0.0
-    return c
+    table = np.empty(m)
+    table[:lower] = 4.0 * s * s
+    table[lower:] = table[1 - shift : m + 1 - shift - lower][::-1]
+    return table
+
+
+def table_sums(tables: Sequence[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """sum_i tables[i][h_i] for the row-major flat indices of h in [lo, hi).
+
+    The last axis varies fastest. Its entry is added first and the first
+    axis's last; the order is fixed so every caller's sums are reproducible.
+    """
+    idx = np.arange(lo, hi)
+    out = np.zeros(idx.size)
+    for table in reversed(tables):
+        out += table[idx % table.size]
+        idx //= table.size
+    return out
 
 
 class SpectrumStream:
-    """Lazily enumerated multiset of Laplacian eigenvalues with multiplicities.
+    """Laplacian eigenvalues as a sum of per-axis tables, in flat-index blocks.
 
-    Exactly ``zero_multiplicity`` of the emitted eigenvalues are null modes
-    (1 for any connected graph). Torus streams enumerate index vectors in
-    row-major order and support consumption in disjoint index blocks.
+    The eigenvalue at flat index h is ``table_sums(tables, h, h + 1)``. It
+    counts ``multiplicity[h]`` times when a multiplicity vector is given (a
+    single axis, exact int64) and once otherwise. The first
+    ``zero_multiplicity`` flat indices are the null modes (1 for any
+    connected graph); sums exclude them by index, never by a numeric
+    tolerance.
     """
 
     def __init__(
         self,
-        count: int,
-        zero_multiplicity: int,
-        kind: str,
-        dims: tuple[int, ...] = (),
-        mult_pairs: tuple[tuple[float, int], ...] = (),
-        nonzero_values: np.ndarray | None = None,
-        all_values: np.ndarray | None = None,
+        tables: Sequence[np.ndarray],
+        zero_multiplicity: int = 1,
+        multiplicity: np.ndarray | None = None,
     ) -> None:
-        self.count = count
+        self.tables = tuple(tables)
         self.zero_multiplicity = zero_multiplicity
-        self.kind = kind
-        self.dims = dims
-        self.mult_pairs = mult_pairs
-        self._nonzero_values = nonzero_values
-        self._all_values = all_values
-        if kind == "torus":
-            self._tables = [side_contribution_table(m) for m in dims]
-            self._strides = _row_major_strides(dims)
-
-    def pairs(self) -> Iterator[tuple[float, int]]:
-        """Yield (eigenvalue, multiplicity), the zero mode included."""
-        if self.kind == "torus":
-            for lo in range(0, self.count, BASE_BLOCK):
-                for lam in self.lambda_block(lo, min(lo + BASE_BLOCK, self.count)):
-                    yield float(lam), 1
-        elif self.kind == "hypercube":
-            yield from self.mult_pairs
-        else:
-            for lam in self._all_values:
-                yield float(lam), 1
-
-    def lambda_block(self, lo: int, hi: int) -> np.ndarray:
-        """Torus eigenvalues for row-major flat indices [lo, hi)."""
-        if self.kind != "torus":
-            raise ValueError("lambda_block is only defined for torus streams")
-        idx = np.arange(lo, hi)
-        lam = np.zeros(hi - lo)
-        for table, stride, m in zip(self._tables, self._strides, self.dims):
-            lam += table[(idx // stride) % m]
-        return lam
-
-    def inverse_terms(self, lo: int, hi: int) -> np.ndarray:
-        """Summands multiplicity / eigenvalue for one nonzero-index block.
-
-        The null mode is excluded structurally (by its index), never by a
-        numeric tolerance.
-        """
-        if self.kind == "torus":
-            lam = self.lambda_block(lo, hi)
-            if lo == 0:
-                lam = lam[1:]
-            return 1.0 / lam
-        if self.kind == "hypercube":
-            data = np.array(
-                [mult / lam for lam, mult in self.mult_pairs[lo:hi] if lam > 0.0]
-            )
-            return data
-        return 1.0 / self._nonzero_values[lo:hi]
+        self.multiplicity = multiplicity
+        # node count N: eigenvalues counted with multiplicity
+        self.count = self.term_count() if multiplicity is None else sum(multiplicity.tolist())
 
     def term_count(self) -> int:
-        """Number of index entries feeding inverse_terms (zero mode excluded)."""
-        if self.kind == "torus":
-            return self.count
-        if self.kind == "hypercube":
-            return len(self.mult_pairs)
-        return int(self._nonzero_values.size)
+        """Number of flat indices, null modes included."""
+        return math.prod(table.size for table in self.tables)
+
+    def _weights(self, lo: int, hi: int) -> float | np.ndarray:
+        return 1.0 if self.multiplicity is None else self.multiplicity[lo:hi]
+
+    def pairs(self) -> Iterator[tuple[float, int]]:
+        """Yield (eigenvalue, multiplicity) per flat index, null modes included."""
+        for lo, hi in block_ranges(self.term_count()):
+            weights = repeat(1) if self.multiplicity is None else self.multiplicity[lo:hi].tolist()
+            yield from zip(self.lambda_block(lo, hi).tolist(), weights)
+
+    def lambda_block(self, lo: int, hi: int) -> np.ndarray:
+        """Eigenvalues at flat indices [lo, hi)."""
+        return table_sums(self.tables, lo, hi)
+
+    def inverse_terms(self, lo: int, hi: int) -> np.ndarray:
+        """Summands multiplicity / eigenvalue at the non-null flat indices in [lo, hi)."""
+        lo = max(lo, self.zero_multiplicity)
+        return self._weights(lo, hi) / self.lambda_block(lo, hi)
 
     def eigenvalue_sum(self, threads: int = 1) -> float:
         """Sum of multiplicity * eigenvalue; equals twice the edge count."""
-        if self.kind == "torus":
-            return reduce_blocks(self.count, self.lambda_block, threads).value
-        acc = CompensatedSum()
-        for lam, mult in self.pairs():
-            acc.add(mult * lam)
-        return acc.value
+        def terms(lo: int, hi: int) -> np.ndarray:
+            return self._weights(lo, hi) * self.lambda_block(lo, hi)
+
+        return reduce_blocks(self.term_count(), terms, threads).value
 
 
 def torus_spectrum(dims: list[int] | tuple[int, ...]) -> SpectrumStream:
     """Spectrum stream of the toroidal grid with the given side lengths."""
     family = Torus(tuple(dims))  # validates the descriptor
-    return SpectrumStream(family.node_count(), 1, "torus", dims=family.dims)
+    return SpectrumStream([side_contribution_table(m) for m in family.dims])
 
 
-def hypercube_spectrum(d: int) -> SpectrumStream:
-    """Spectrum stream of the d-dimensional hypercube: (2m, C(d, m)).
+def exact_hypercube_dimension(d: int) -> int:
+    """``d`` checked as a Hypercube dimension with exact int64 multiplicities.
 
-    Multiplicities are exact integers up to d = 63; beyond that they leave
-    the exact 64-bit range and the request is refused.
+    Raises InvalidFamily for what ``Hypercube`` refuses and Overflow above
+    MAX_EXACT_HYPERCUBE, where some C(d, m) leaves the exact 64-bit range.
     """
-    if d < 0:
-        raise Overflow(f"hypercube dimension must be >= 0, got {d}")
+    d = Hypercube(d).d
     if d > MAX_EXACT_HYPERCUBE:
         raise Overflow(
             f"binomial multiplicities for d={d} exceed the exact integer range "
             f"(supported up to d={MAX_EXACT_HYPERCUBE})"
         )
-    pairs = tuple((2.0 * m, math.comb(d, m)) for m in range(d + 1))
-    return SpectrumStream(2**d, 1, "hypercube", mult_pairs=pairs)
+    return d
+
+
+def hypercube_spectrum(d: int) -> SpectrumStream:
+    """Spectrum stream of the d-dimensional hypercube: (2m, C(d, m)), m = 0 .. d."""
+    d = exact_hypercube_dimension(d)
+    multiplicity = np.array([math.comb(d, m) for m in range(d + 1)], dtype=np.int64)
+    return SpectrumStream([2.0 * np.arange(d + 1)], multiplicity=multiplicity)
 
 
 def stream_from_eigenvalues(eigenvalues: np.ndarray) -> SpectrumStream:
-    """Wrap a dense eigensolve result as a stream.
+    """Wrap a dense eigensolve result as a one-axis stream.
 
     Null modes are identified by the |lambda| <= 1e-9 * lambda_max rule;
     connectivity is judged by the caller via zero_multiplicity.
     """
     values = np.sort(np.asarray(eigenvalues, dtype=np.float64))
-    zeros = null_mode_count(values)
-    return SpectrumStream(
-        int(values.size),
-        zeros,
-        "values",
-        nonzero_values=values[zeros:],
-        all_values=values,
-    )
+    return SpectrumStream([values], null_mode_count(values))
 
 
 def spectral_rave(stream: SpectrumStream, threads: int = 1) -> ResistanceResult:
@@ -186,19 +177,13 @@ def spectral_rave(stream: SpectrumStream, threads: int = 1) -> ResistanceResult:
 
     Uses compensated summation over the stream's fixed block partition;
     partials merge in block order, so the value is bit-identical for any
-    worker count.
+    worker count. ``terms`` counts the nonzero eigenvalues with
+    multiplicity, N - 1.
     """
     if stream.zero_multiplicity != 1:
         raise DisconnectedSpectrum(
             f"{stream.zero_multiplicity} zero eigenvalues in the stream; expected 1"
         )
     n = stream.count
-    if n == 1:
-        return ResistanceResult(0.0, "spectral", 0, 0.0)
-    if stream.kind == "torus":
-        acc = reduce_blocks(stream.term_count(), stream.inverse_terms, threads)
-        terms = n - 1
-    else:
-        acc = block_sum(stream.inverse_terms(0, stream.term_count()))
-        terms = acc.count
-    return ResistanceResult(acc.value / n, "spectral", terms, acc.err_bound / n)
+    acc = reduce_blocks(stream.term_count(), stream.inverse_terms, threads)
+    return ResistanceResult(acc.value / n, "spectral", n - 1, acc.err_bound / n)

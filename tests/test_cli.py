@@ -1,8 +1,9 @@
 import math
+import os
 
 import pytest
 
-from gridres.cli import main, read_sweep_csv
+from gridres.cli import build_parser, main, read_sweep_csv
 from gridres.resistance import rave_torus
 
 
@@ -187,3 +188,17 @@ def test_hypercube_ad_table(capsys):
 def test_hypercube_ad_validation(capsys):
     code, _, err = run(capsys, "hypercube-ad", "--dmax", "0")
     assert code == 3
+
+
+def test_threads_default_is_affinity_size(tmp_path):
+    if hasattr(os, "sched_getaffinity"):
+        expected = len(os.sched_getaffinity(0))
+    else:
+        expected = os.cpu_count() or 1
+    parser = build_parser()
+    for argv in (
+        ["rave", "--ring", "3"],
+        ["sweep", "--family", "ring", "--m", "3", "--out", str(tmp_path / "rows.csv")],
+        ["verify", "--suite", "recursion"],
+    ):
+        assert parser.parse_args(argv).threads == expected

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from gridres import (
     DivergentIntegral,
     InsufficientBudget,
+    InvalidFamily,
     SingularPoint,
     SizeExceeded,
     estimate_integral,
@@ -126,3 +128,17 @@ def test_interior_sums_decompose_full_average(m, d):
         math.comb(d, k) * interior_sum(m, k) / float(m) ** (d - k) for k in range(1, d + 1)
     )
     assert abs(total - rave_torus([m] * d).value) <= 1e-12
+
+
+def test_quadrature_sizes_must_be_integers():
+    for call in (
+        lambda: interior_sum(4.5, 3),
+        lambda: interior_sum(4, 3.0),
+        lambda: estimate_integral(3.5),
+        lambda: estimate_integral(3, budget=1e5),
+    ):
+        with pytest.raises(InvalidFamily, match="integer"):
+            call()
+    assert interior_sum(np.int64(4), np.int64(3)) == interior_sum(4, 3)
+    a = estimate_integral(np.int64(3), "riemann_refined", budget=np.int64(10**4))
+    assert a == estimate_integral(3, "riemann_refined", budget=10**4)

@@ -51,6 +51,18 @@ def test_closed_forms_reject_non_integer_arguments():
     assert rave_ring_exact(np.int64(3)).value == rave_ring_exact(3).value
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [rave_hypercube_binomial, rave_hypercube_recursive, hypercube_ad_direct, hypercube_ad_recursive],
+)
+def test_hypercube_dimension_checked_as_family(entry):
+    with pytest.raises(InvalidFamily, match="integer"):
+        entry(2.5)
+    with pytest.raises(InvalidFamily):
+        entry(-1)
+    entry(np.int64(3))
+
+
 @pytest.mark.parametrize("m", [3, 10, 100, 1000, 10000])
 def test_ring_spectral_cross_check(m):
     exact = rave_ring_exact(m).value

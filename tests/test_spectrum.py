@@ -7,6 +7,7 @@ from gridres import (
     DisconnectedSpectrum,
     Explicit,
     Hypercube,
+    InvalidFamily,
     Overflow,
     Torus,
     build_laplacian,
@@ -16,7 +17,7 @@ from gridres import (
     stream_from_eigenvalues,
     torus_spectrum,
 )
-from gridres.spectrum import side_contribution_table
+from gridres.spectrum import side_contribution_table, table_sums
 
 
 def multiset(stream):
@@ -169,3 +170,50 @@ def test_contribution_table_symmetry():
             assert table[m // 2] == 4.0
         direct = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(m) / m)
         assert np.max(np.abs(table - direct)) <= 1e-14
+
+
+def test_midpoint_table_symmetry():
+    for m in (1, 2, 3, 4, 5, 12, 101):
+        table = side_contribution_table(m, midpoint=True)
+        for k in range(m):
+            assert table[k] == table[m - 1 - k]  # exact mirror
+        direct = 4.0 * np.sin(np.pi * (np.arange(m) + 0.5) / m) ** 2
+        assert np.max(np.abs(table - direct)) <= 1e-14
+        assert np.all(table > 0.0)
+
+
+def test_table_sums_row_major_three_axes():
+    tables = [np.array([0.0, 1.0, 2.0]), np.array([0.0, 10.0]), np.array([0.0, 100.0, 200.0, 300.0])]
+    expected = [a + b + c for a in tables[0] for b in tables[1] for c in tables[2]]
+    assert table_sums(tables, 0, 24).tolist() == expected
+    assert table_sums(tables, 5, 17).tolist() == expected[5:17]
+
+
+def test_hypercube_spectrum_63_multiplicities_exact():
+    pairs = list(hypercube_spectrum(63).pairs())
+    mults = [mult for _, mult in pairs]
+    assert all(type(mult) is int for mult in mults)
+    assert mults == [math.comb(63, m) for m in range(64)]
+    assert sum(mults) == 2**63
+    assert hypercube_spectrum(63).count == 2**63
+
+
+def test_hypercube_spectrum_rejects_invalid_dimension():
+    with pytest.raises(InvalidFamily):
+        hypercube_spectrum(-1)
+    with pytest.raises(InvalidFamily, match="integer"):
+        hypercube_spectrum(2.5)
+
+
+def test_streams_count_flat_indices():
+    k4 = eigenvalues_symmetric(build_laplacian(Explicit(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])))
+    cases = [
+        (torus_spectrum([3, 4, 5]), 60, 60),
+        (hypercube_spectrum(5), 6, 32),
+        (stream_from_eigenvalues(k4), 4, 4),
+    ]
+    for stream, flat, n in cases:
+        assert stream.term_count() == flat
+        assert stream.count == n
+        assert len(list(stream.pairs())) == flat
+        assert spectral_rave(stream).terms == n - 1
