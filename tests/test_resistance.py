@@ -53,7 +53,13 @@ def test_closed_forms_reject_non_integer_arguments():
 
 @pytest.mark.parametrize(
     "entry",
-    [rave_hypercube_binomial, rave_hypercube_recursive, hypercube_ad_direct, hypercube_ad_recursive],
+    [
+        hypercube_spectrum,
+        rave_hypercube_binomial,
+        rave_hypercube_recursive,
+        hypercube_ad_direct,
+        hypercube_ad_recursive,
+    ],
 )
 def test_hypercube_dimension_checked_as_family(entry):
     with pytest.raises(InvalidFamily, match="integer"):

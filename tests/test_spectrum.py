@@ -7,7 +7,6 @@ from gridres import (
     DisconnectedSpectrum,
     Explicit,
     Hypercube,
-    InvalidFamily,
     Overflow,
     Torus,
     build_laplacian,
@@ -196,13 +195,6 @@ def test_hypercube_spectrum_63_multiplicities_exact():
     assert mults == [math.comb(63, m) for m in range(64)]
     assert sum(mults) == 2**63
     assert hypercube_spectrum(63).count == 2**63
-
-
-def test_hypercube_spectrum_rejects_invalid_dimension():
-    with pytest.raises(InvalidFamily):
-        hypercube_spectrum(-1)
-    with pytest.raises(InvalidFamily, match="integer"):
-        hypercube_spectrum(2.5)
 
 
 def test_streams_count_flat_indices():
