@@ -57,9 +57,8 @@ def bounds_torus2(m1: int, m2: int) -> BoundReport:
     params = {"M1": m1, "M2": m2}
     if not (4 <= m1 <= m2):
         return _inapplicable(TAG_TORUS2, params, f"requires 4 <= M1 <= M2, got ({m1}, {m2})")
-    ratio = m2 / (12.0 * m1)
-    upper = math.log(m2) / (2.0 * math.pi) + ratio + 1.0
-    lower = max(ratio - 1.0 / 24.0, math.log(m1) / (2.0 * math.pi) - ratio - 0.5)
+    upper = math.log(m2) / (2.0 * math.pi) + m2 / (12.0 * m1) + 1.0
+    lower = max(torus2_lower_branches(m1, m2))
     return BoundReport(TAG_TORUS2, params, True, lower=lower, upper=upper)
 
 

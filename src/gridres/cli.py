@@ -32,6 +32,7 @@ from .verify import (
     all_suites,
     bounds_suite,
     integral_suite,
+    least_squares_slope,
     oracle_suite,
     recursion_suite,
 )
@@ -280,8 +281,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "oracle": lambda: oracle_suite(args.seed, args.threads),
         "bounds": lambda: bounds_suite(args.threads),
         "recursion": recursion_suite,
-        "integral": lambda: integral_suite(args.seed, args.threads, args.budget),
-        "all": lambda: all_suites(args.seed, args.threads, args.budget),
+        "integral": lambda: integral_suite(args.seed, args.threads, args.budget, args.budget),
+        "all": lambda: all_suites(args.seed, args.threads, args.budget, args.budget),
     }
     results = suites[args.suite]()
     for check in results:
@@ -299,24 +300,15 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             f"model {args.model} needs >= 4 rows of family {family!r}, found {len(rows)}"
         )
     if args.model == "linear":
-        coeff = _slope([float(r.n) for r in rows], [r.rave for r in rows])
+        coeff = least_squares_slope([float(r.n) for r in rows], [r.rave for r in rows])
     elif args.model == "log2d":
-        coeff = _slope([math.log(r.dims[0]) for r in rows], [r.rave for r in rows])
+        coeff = least_squares_slope([math.log(r.dims[0]) for r in rows], [r.rave for r in rows])
     else:
         xs = [1.0 / r.d for r in rows]
         coeff = sum(x * r.rave for x, r in zip(xs, rows)) / sum(x * x for x in xs)
     rel = abs(coeff - target) / target
     print(f"model={args.model} coefficient={coeff:.15g} target={target:.15g} rel_deviation={rel:.6g}")
     return 0
-
-
-def _slope(xs: list[float], ys: list[float]) -> float:
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var = sum((x - mean_x) ** 2 for x in xs)
-    return cov / var
 
 
 def _cmd_hypercube_ad(args: argparse.Namespace) -> int:

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DivergentIntegral,
     InsufficientBudget,
+    InvalidFamily,
     SingularPoint,
     SizeExceeded,
 )
@@ -94,6 +95,9 @@ def estimate_integral(
     """
     d = require_int(d, "dimension")
     budget = require_int(budget, "budget")
+    seed = require_int(seed, "seed")
+    if seed < 0:
+        raise InvalidFamily(f"seed must be non-negative, got {seed}")
     if d <= 2:
         raise DivergentIntegral(f"the integral diverges for d <= 2 (got d={d})")
     if budget < MIN_BUDGET:

@@ -177,10 +177,12 @@ def hypercube_ad_direct(d: int) -> float:
     d = Hypercube(d).d
     if d == 0:
         return 0.0
+    # Scale each term by 2^{-(d+1)} before summing, so no term leaves the
+    # float range however large d is.
     acc = CompensatedSum()
     for i in range(1, d + 1):
-        acc.add((2**i) / i)
-    return d * acc.value / float(2 ** (d + 1))
+        acc.add(2.0 ** (i - d - 1) / i)
+    return d * acc.value
 
 
 def hypercube_ad_recursive(d: int) -> float:

@@ -80,6 +80,7 @@ def test_lower_never_exceeds_upper(m1, m2):
     report = bounds_torus2(m1, m2)
     if report.applicable:
         assert report.lower <= report.upper
+        assert report.lower == max(torus2_lower_branches(m1, m2))
 
 
 @settings(max_examples=60, deadline=None)

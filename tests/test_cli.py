@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from gridres import verify
 from gridres.cli import build_parser, main, read_sweep_csv
 from gridres.resistance import rave_torus
 
@@ -164,6 +165,26 @@ def test_verify_recursion_suite(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines)
     assert lines[-1].startswith("PASS suite=recursion")
+
+
+def test_verify_bounds_suite_prints_growth_law_checks(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "bounds", "--threads", "1")
+    assert code == 0
+    names = [line.split()[1] for line in out.strip().splitlines()[:-1]]
+    for prefix in ("log-slope:", "conjecture-scale:", "sandwich:scenario1:", "sandwich:scenario3:",
+                   "scenario1-linear-growth:"):
+        assert any(name.startswith(prefix) for name in names), prefix
+    assert out.strip().splitlines()[-1] == f"PASS suite=bounds checks={len(names)} failures=0"
+
+
+def test_verify_failure_exits_1(capsys, monkeypatch):
+    failing = verify.CheckResult("conjecture-scale:M=3,d=5", False, 2.0, 1.5)
+    monkeypatch.setattr(verify, "conjecture_checks", lambda threads=1: [failing])
+    code, out, _ = run(capsys, "verify", "--suite", "bounds", "--threads", "1")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert "FAIL conjecture-scale:M=3,d=5 observed=2 limit=1.5" in lines
+    assert lines[-1] == f"FAIL suite=bounds checks={len(lines) - 1} failures=1"
 
 
 def test_hypercube_ad_table(capsys):

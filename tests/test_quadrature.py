@@ -5,6 +5,7 @@ import pytest
 
 from gridres import (
     DivergentIntegral,
+    GridResError,
     InsufficientBudget,
     InvalidFamily,
     SingularPoint,
@@ -142,3 +143,9 @@ def test_quadrature_sizes_must_be_integers():
     assert interior_sum(np.int64(4), np.int64(3)) == interior_sum(4, 3)
     a = estimate_integral(np.int64(3), "riemann_refined", budget=np.int64(10**4))
     assert a == estimate_integral(3, "riemann_refined", budget=10**4)
+
+
+def test_estimate_integral_seed_checked():
+    for seed in (2.5, -1):
+        with pytest.raises(GridResError, match="seed"):
+            estimate_integral(3, budget=10**4, seed=seed)

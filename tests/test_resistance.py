@@ -227,6 +227,12 @@ def test_growth_coefficient_values():
         assert abs(direct - rec) <= 1e-12 * max(direct, 1.0)
 
 
+def test_growth_coefficient_direct_beyond_float_powers():
+    # 2**1100 is outside the float range; the direct sum must still agree.
+    direct = hypercube_ad_direct(1100)
+    assert abs(direct - hypercube_ad_recursive(1100)) <= 1e-12 * direct
+
+
 def test_growth_coefficient_shape():
     values = [hypercube_ad_direct(d) for d in range(0, 30)]
     assert all(v > 1.0 for v in values[3:])
