@@ -6,12 +6,14 @@ equal-sided torus average approaches as the side length grows (d >= 3; the
 integrand's origin singularity is integrable there and the integral
 diverges for d = 2).
 
-The lattice sums are the torus spectral sum in table form (see
-``spectrum``): the midpoint rule sums 1 / sum_i t[h_i] over a grid^d
-midpoint table, whose points can never hit the singular lattice images of
-the origin, and ``interior_sum`` sums the same over the cycle table
-without its zero entry. Seeded Monte Carlo draws a fixed per-block sample
-stream, so no result depends on the worker count.
+The lattice sums are the torus spectral sum in table form, through
+``spectrum.closed_axis_sum``, which sums one axis in closed form: the
+midpoint rule sums 1 / sum_i t[h_i] over a grid^d midpoint lattice, whose
+points can never hit the singular lattice images of the origin, and
+``interior_sum`` sums the same over the cycle lattice without the zero
+entries. A budget counts lattice points, not the grid^(d-1) rows summed.
+Seeded Monte Carlo draws a fixed per-block sample stream, so no result
+depends on the worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     SizeExceeded,
 )
 from .families import require_int
-from .spectrum import side_contribution_table, table_sums
+from .spectrum import closed_axis_sum
 from .summation import (
     BASE_BLOCK,
     EPS,
@@ -39,7 +41,6 @@ from .summation import (
     block_ranges,
     block_sum,
     map_blocks,
-    reduce_blocks,
 )
 
 MIN_BUDGET = 10**4
@@ -157,15 +158,9 @@ def _largest_grid(d: int, budget: int) -> int:
     return grid
 
 
-def _inverse_sum(table: np.ndarray, d: int, threads: int) -> float:
-    """Compensated sum of 1 / sum_i table[h_i] over every h in [0, len(table))^d."""
-    tables = (table,) * d
-    total = table.size**d
-    return reduce_blocks(total, lambda lo, hi: 1.0 / table_sums(tables, lo, hi), threads).value
-
-
 def _midpoint_mean(d: int, grid: int, threads: int) -> float:
-    return _inverse_sum(side_contribution_table(grid, midpoint=True), d, threads) / grid**d
+    value, _ = closed_axis_sum((grid,) * d, midpoint=True, threads=threads)
+    return value / grid**d
 
 
 def interior_sum(
@@ -189,4 +184,5 @@ def interior_sum(
     total = (m - 1) ** dims
     if total > max_terms:
         raise SizeExceeded(f"{total} interior terms exceed the cap {max_terms}")
-    return _inverse_sum(side_contribution_table(m)[1:], dims, threads) / float(m) ** dims
+    value, _ = closed_axis_sum((m,) * dims, interior=True, threads=threads)
+    return value / float(m) ** dims

@@ -2,9 +2,10 @@
 
 Three independent routes coexist: closed-form expressions (ring formula,
 hypercube binomial sum and recursion), spectral sums over closed-form
-eigenvalue streams, and the electrical-network oracle that solves grounded
-linear systems straight from the definition. Cross-checking them is the
-package's core correctness argument.
+eigenvalue streams (a torus sums its longest side in closed form), and the
+electrical-network oracle that solves grounded linear systems straight
+from the definition. Cross-checking them is the package's core
+correctness argument.
 
 Explicit graphs have no closed-form spectrum. ``rave`` takes the Green
 trace route for them (one Cholesky factorization); ``rave_dense_spectral``
@@ -25,11 +26,10 @@ from .laplacian import build_laplacian
 from .linsolve import GroundedSolver
 from .spectrum import (
     ResistanceResult,
+    closed_axis_sum,
     exact_hypercube_dimension,
-    hypercube_spectrum,
     spectral_rave,
     stream_from_eigenvalues,
-    torus_spectrum,
 )
 from .summation import EPS, MAX_TERMS, CompensatedSum, block_sum
 
@@ -48,11 +48,20 @@ def rave_torus(
     threads: int = 1,
     max_terms: int = MAX_TERMS,
 ) -> ResistanceResult:
-    """Spectral average resistance of a toroidal grid."""
-    stream = torus_spectrum(dims)
-    if stream.count > max_terms:
-        raise SizeExceeded(f"{stream.count} spectral terms exceed the cap {max_terms}")
-    return spectral_rave(stream, threads=threads)
+    """Spectral average resistance of a toroidal grid.
+
+    Sums (1/N) sum 1/lambda with the longest side in closed form, N / M_max
+    rows (``closed_axis_sum``). ``terms`` and the ``max_terms`` cap still
+    count the N - 1 eigenvalues and the N nodes. The enumerated sum over all
+    N eigenvalues, ``spectral_rave(torus_spectrum(dims))``, is the
+    independent check.
+    """
+    dims = Torus(tuple(dims)).dims
+    n = math.prod(dims)
+    if n > max_terms:
+        raise SizeExceeded(f"{n} spectral terms exceed the cap {max_terms}")
+    value, err = closed_axis_sum(dims, threads=threads)
+    return ResistanceResult(value / n, "spectral", n - 1, err / n)
 
 
 def rave_hypercube_binomial(d: int) -> ResistanceResult:

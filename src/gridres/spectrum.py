@@ -8,8 +8,13 @@ eigenvalues 2m with exact binomial multiplicities C(d, m); a dense
 eigensolve has one axis of sorted eigenvalues. The first
 ``zero_multiplicity`` flat indices are the null modes. Consumers pull
 fixed-size flat-index blocks, so no stream materializes O(N) storage.
-``table_sums`` is the one decode of flat indices; the continuum sums in
-``quadrature`` use it too.
+``table_sums`` is the one decode of flat indices.
+
+``closed_axis_sum`` is the fast route for torus lattices: it enumerates
+every axis but the longest and sums that one in closed form, so a lattice
+of N points costs N / M_max rows. ``rave_torus`` and the continuum sums in
+``quadrature`` use it; ``spectral_rave(torus_spectrum(dims))`` enumerates
+all N terms and stays as the independent check.
 """
 
 from __future__ import annotations
@@ -24,11 +29,15 @@ import numpy as np
 from .eigen import null_mode_count
 from .errors import DisconnectedSpectrum, Overflow
 from .families import Hypercube, Torus
-from .summation import block_ranges, reduce_blocks
+from .summation import EPS, block_ranges, reduce_blocks
 
 # Largest dimension whose binomial multiplicities all stay in the exact
 # 64-bit integer range.
 MAX_EXACT_HYPERCUBE = 63
+# Rounding of one closed-form row of ``closed_axis_sum`` (two square roots,
+# arcsinh, tanh and four products or quotients), in units of EPS relative
+# to the row: a first-order count gives 5, the rest is margin.
+ROW_EVAL_EPS = 8.0
 
 
 @dataclass(frozen=True)
@@ -36,7 +45,9 @@ class ResistanceResult:
     """A computed average-resistance value plus how it was obtained."""
 
     value: float
-    # closed_form | spectral (closed-form or Jacobi eigenvalues) |
+    # closed_form | spectral (closed-form or Jacobi eigenvalues; a torus sums
+    # its longest side in closed form, but terms still counts N - 1 and the
+    # term cap still counts N) |
     # green_trace (explicit graphs, Cholesky; err_bound covers the two final
     # sums only) | oracle_definition | recursion
     method: str
@@ -112,7 +123,12 @@ class SpectrumStream:
         return 1.0 if self.multiplicity is None else self.multiplicity[lo:hi]
 
     def pairs(self) -> Iterator[tuple[float, int]]:
-        """Yield (eigenvalue, multiplicity) per flat index, null modes included."""
+        """Yield (eigenvalue, multiplicity) per flat index, null modes included.
+
+        The readable view of a stream, for inspection rather than sums: it
+        lists the spectrum in flat-index order for comparison with a dense
+        eigensolve, and yields multiplicities as exact Python ints.
+        """
         for lo, hi in block_ranges(self.term_count()):
             weights = repeat(1) if self.multiplicity is None else self.multiplicity[lo:hi].tolist()
             yield from zip(self.lambda_block(lo, hi).tolist(), weights)
@@ -125,13 +141,6 @@ class SpectrumStream:
         """Summands multiplicity / eigenvalue at the non-null flat indices in [lo, hi)."""
         lo = max(lo, self.zero_multiplicity)
         return self._weights(lo, hi) / self.lambda_block(lo, hi)
-
-    def eigenvalue_sum(self, threads: int = 1) -> float:
-        """Sum of multiplicity * eigenvalue; equals twice the edge count."""
-        def terms(lo: int, hi: int) -> np.ndarray:
-            return self._weights(lo, hi) * self.lambda_block(lo, hi)
-
-        return reduce_blocks(self.term_count(), terms, threads).value
 
 
 def torus_spectrum(dims: list[int] | tuple[int, ...]) -> SpectrumStream:
@@ -187,3 +196,55 @@ def spectral_rave(stream: SpectrumStream, threads: int = 1) -> ResistanceResult:
     n = stream.count
     acc = reduce_blocks(stream.term_count(), stream.inverse_terms, threads)
     return ResistanceResult(acc.value / n, "spectral", n - 1, acc.err_bound / n)
+
+
+def closed_axis_sum(
+    dims: Sequence[int],
+    midpoint: bool = False,
+    interior: bool = False,
+    threads: int = 1,
+) -> tuple[float, float]:
+    """Sum of 1 / sum_i t_i[h_i] over a torus lattice, its longest side in closed form.
+
+    t_i is ``side_contribution_table(dims[i], midpoint)``. On cycle tables
+    the null mode h = 0 is left out, and ``interior`` keeps only the h whose
+    components are all nonzero. Returns (value, err_bound); the bound covers
+    the summation and the evaluation of every row.
+
+    The other axes decode into rows a = sum of their table entries through
+    ``table_sums``. With a = 4 sinh^2(theta / 2), r = sqrt(a (a + 4)) and M
+    the longest side, a row sums over that side in closed form:
+    sum_k 1 / (a + t[k]) is M / (r tanh(M theta / 2)) at cycle points and
+    M tanh(M theta / 2) / r at midpoints. An interior row drops its k = 0
+    term 1/a. The row a = 0 (no other axis, or the null row of a cycle
+    lattice) is the side's own sum over its nonzero entries, (M^2 - 1)/12
+    at cycle points and M^2/4 at midpoints. All rows are positive. Taking
+    the longest side keeps M theta / 2 above 2.3 for cycle rows, where tanh
+    is near 1 and well conditioned, and keeps 1/a below the interior row,
+    so cancelling 1/a costs at most a factor 3 in the row's rounding. Rows
+    reduce over the fixed block partition, so the value is bit-identical
+    for any thread count.
+    """
+    axis = max(range(len(dims)), key=lambda i: dims[i])
+    m = dims[axis]
+    others = [
+        side_contribution_table(side, midpoint)[int(interior):]
+        for i, side in enumerate(dims)
+        if i != axis
+    ]
+    zero_row = not others or not (midpoint or interior)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        a = table_sums(others, max(lo, int(zero_row)), hi)
+        r = np.sqrt(a * (a + 4.0))
+        half = np.tanh(m * np.arcsinh(0.5 * np.sqrt(a)))  # tanh(M theta / 2)
+        if midpoint:
+            return m * half / r
+        row = m / (r * half)
+        return row - 1.0 / a if interior else row
+
+    acc = reduce_blocks(math.prod(t.size for t in others), rows, threads)
+    if zero_row:
+        acc.add(m * m / 4.0 if midpoint else (m * m - 1) / 12.0)
+    eval_eps = ROW_EVAL_EPS * (3.0 if interior else 1.0)
+    return acc.value, acc.err_bound + eval_eps * EPS * acc.abs_sum

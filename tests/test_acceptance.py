@@ -48,7 +48,9 @@ def finish(digest, key, label):
 
 
 def test_criterion_1_ring_exactness(digest):
-    finish(digest, "c1", f"spectral ring values match the closed form to {verify.RING_REL_TOL:g}")
+    label = (f"enumerated ring values match the closed form to {verify.RING_REL_TOL:g}, "
+             f"closed-axis tori the enumerated sum to {verify.CLOSED_AXIS_REL_TOL:g}")
+    finish(digest, "c1", label)
 
 
 def test_criterion_2_oracle_equivalence(digest):

@@ -15,6 +15,8 @@ from gridres import (
     interior_sum,
     rave_torus,
 )
+from gridres.quadrature import _midpoint_mean
+from gridres.spectrum import side_contribution_table, table_sums
 
 # midpoint extrapolation over grids 64/128/256 agrees with this to 5 digits
 I3_REFERENCE = 0.2527310098
@@ -80,17 +82,38 @@ def test_monte_carlo_determinism():
 
 
 def test_riemann_thread_invariance():
-    values = [
-        estimate_integral(3, method="riemann_refined", budget=10**6, threads=t).value
-        for t in (1, 2, 8)
-    ]
-    assert values[0] == values[1] == values[2]
+    # d = 5 at 2e6 points: an 18^5 grid, 18^4 rows, two base blocks
+    for d, budget in ((3, 10**6), (5, 2 * 10**6)):
+        values = [
+            estimate_integral(d, method="riemann_refined", budget=budget, threads=t).value
+            for t in (1, 2, 8)
+        ]
+        assert values[0] == values[1] == values[2]
 
 
 def test_interior_sum_examples():
     assert abs(interior_sum(4, 1) - 0.3125) <= 1e-12
     assert abs(interior_sum(4, 1) - rave_torus([4]).value) <= 1e-12
     assert abs(interior_sum(3, 2) - 2.0 / 27.0) <= 1e-15
+
+
+def enumerated_mean(tables):
+    """Mean of 1 / sum_i tables[i][h_i] over every h, from plain flat-index sums."""
+    total = math.prod(table.size for table in tables)
+    return math.fsum(1.0 / table_sums(tables, 0, total)) / total
+
+
+@pytest.mark.parametrize("m,d", [(3, 1), (7, 1), (4, 2), (9, 2), (5, 3), (8, 3), (4, 4), (6, 4)])
+def test_interior_sum_matches_enumeration(m, d):
+    interior = side_contribution_table(m)[1:]
+    expected = enumerated_mean([interior] * d) * ((m - 1) / m) ** d
+    assert abs(interior_sum(m, d) - expected) <= 1e-14 * expected
+
+
+@pytest.mark.parametrize("d,grid", [(1, 5), (1, 8), (2, 7), (3, 6), (3, 11), (4, 5)])
+def test_midpoint_mean_matches_enumeration(d, grid):
+    expected = enumerated_mean([side_contribution_table(grid, midpoint=True)] * d)
+    assert abs(_midpoint_mean(d, grid, 1) - expected) <= 1e-14 * expected
 
 
 def test_interior_sum_validation():
@@ -111,8 +134,10 @@ def test_interior_sum_below_integral():
 
 
 def test_interior_sum_thread_invariance():
-    values = [interior_sum(16, 3, threads=t) for t in (1, 2, 8)]
-    assert values[0] == values[1] == values[2]
+    # (18, 5) has 17^4 rows, two base blocks
+    for m, dims in ((16, 3), (18, 5)):
+        values = [interior_sum(m, dims, threads=t) for t in (1, 2, 8)]
+        assert values[0] == values[1] == values[2]
 
 
 def test_torus_average_approaches_integral():

@@ -28,6 +28,7 @@ from gridres import (
     rave_ring_exact,
     rave_torus,
     spectral_rave,
+    torus_spectrum,
 )
 from gridres.verify import random_connected_graph
 
@@ -72,8 +73,27 @@ def test_hypercube_dimension_checked_as_family(entry):
 @pytest.mark.parametrize("m", [3, 10, 100, 1000, 10000])
 def test_ring_spectral_cross_check(m):
     exact = rave_ring_exact(m).value
-    spectral = rave_torus([m]).value
-    assert abs(spectral - exact) <= 1e-10 * exact
+    # rave_torus sums the ring's one axis in closed form; the enumerated
+    # spectrum is the route independent of the ring formula.
+    for spectral in (rave_torus([m]).value, spectral_rave(torus_spectrum([m])).value):
+        assert abs(spectral - exact) <= 1e-10 * exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(3, 16), min_size=1, max_size=5))
+def test_rave_torus_closed_axis_matches_enumeration(dims):
+    closed = rave_torus(dims)
+    enumerated = spectral_rave(torus_spectrum(dims))
+    gap = abs(closed.value - enumerated.value)
+    assert gap <= closed.err_bound + enumerated.err_bound
+    assert gap <= 1e-14 * enumerated.value
+    assert (closed.method, closed.terms) == ("spectral", enumerated.terms)
+
+
+def test_rave_torus_thread_invariance_multi_block():
+    # 4^10 nodes: 4^9 = 262,144 rows over the closed axis, four base blocks
+    values = [rave_torus((4,) * 10, threads=t) for t in (1, 2, 8)]
+    assert values[0] == values[1] == values[2]
 
 
 def test_rave_torus_examples():
