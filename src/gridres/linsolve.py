@@ -55,10 +55,15 @@ class GroundedSolver:
 
 
 def solve_grounded(lap: DenseLaplacian, b: np.ndarray, ground: int) -> np.ndarray:
-    """One-shot grounded solve; see GroundedSolver for reuse across injections.
+    """One-shot grounded solve that first checks the injection is balanced.
 
-    Requires a balanced current injection (sum of b is zero). Raises
-    SingularSystem when the graph is disconnected.
+    This is the entry for a caller-supplied current injection b: it raises
+    ValueError unless b sums to zero, then solves with a fresh
+    GroundedSolver. GroundedSolver.solve does not check this on purpose: it
+    drops the ground row, so whatever b lacks is extracted at the ground
+    node, and the columns of green_matrix are exactly such injections (a
+    unit current at u, extracted at the ground). Raises SingularSystem when
+    the graph is disconnected.
     """
     b = np.asarray(b, dtype=np.float64)
     scale = float(np.abs(b).sum())

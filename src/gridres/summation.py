@@ -1,10 +1,13 @@
 """Compensated summation over fixed base blocks with ordered reduction.
 
 Every large reduction in the package is organized around a fixed partition
-of the index space into base blocks of BASE_BLOCK items. Workers may
-process blocks in any order or in parallel, but block contents and the
-final fold order depend only on the index space, never on the worker
-count, so results are bit-identical for any level of parallelism.
+of the index space into base blocks of BASE_BLOCK items. Within a block,
+block_sum adds the values in a pairwise tree of error-free TwoSum steps
+whose shape depends only on the block's length. Across blocks, the block
+partials are folded in block order. Workers may process blocks in any
+order or in parallel, but neither the block contents nor either order
+depends on the worker count, so results are bit-identical for any level
+of parallelism.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ EPS = float(np.finfo(np.float64).eps)
 BASE_BLOCK = 65536
 # Default cap on the terms of one spectral or quadrature sum.
 MAX_TERMS = 10**8
-_LANES = 512
 
 T = TypeVar("T")
 
@@ -69,34 +71,40 @@ class CompensatedSum:
 
 
 def block_sum(values: np.ndarray) -> CompensatedSum:
-    """Compensated sum of one base block's values.
+    """Compensated sum of one base block's values (any shape, read row-major).
 
-    Runs Kahan accumulation over _LANES independent lanes (vectorized),
-    then folds the lanes in lane order. The result is a pure function of
-    the value array.
+    One pairwise tree: each level adds the first half of the array to the
+    second half elementwise with TwoSum, which yields each rounded sum t
+    and its exact rounding error e; a level of odd length carries its last
+    element up unchanged. Compensations ride the same tree as
+    c = (c_a + c_b) + e. The tree's shape depends on the length alone, so
+    the result is a pure function of the value array.
+
+    The returned err_bound, 2 eps sum|x|, still holds: every TwoSum error
+    is exact, so only the plain additions of the compensation tree round,
+    and they add at most about (log2 n)^2 eps^2 sum|x| to the eps/2 |sum|
+    of the final rounding.
     """
     acc = CompensatedSum()
-    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    n = values.size
+    s = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    n = s.size
     if n == 0:
         return acc
-    if n % _LANES:
-        pad = _LANES - (n % _LANES)
-        values = np.concatenate([values, np.zeros(pad)])
-    rows = values.reshape(-1, _LANES)
-    s = np.zeros(_LANES)
-    c = np.zeros(_LANES)
-    for row in rows:
-        t = s + row
-        big = np.abs(s) >= np.abs(row)
-        c += np.where(big, (s - t) + row, (row - t) + s)
-        s = t
-    for lane in range(_LANES):
-        acc._accumulate(float(s[lane]))
-    for lane in range(_LANES):
-        acc._accumulate(float(c[lane]))
-    acc.abs_sum = float(np.abs(values).sum())
+    acc.abs_sum = float(np.abs(s).sum())
     acc.count = n
+    c = np.zeros(n)
+    while (m := s.size) > 1:
+        h = m // 2
+        a, b = s[:h], s[h : 2 * h]
+        t = a + b
+        bp = t - a
+        e = (c[:h] + c[h : 2 * h]) + ((a - (t - bp)) + (b - bp))
+        if m % 2:
+            t = np.append(t, s[-1])
+            e = np.append(e, c[-1])
+        s, c = t, e
+    acc._sum = float(s[0])
+    acc._comp = float(c[0])
     return acc
 
 

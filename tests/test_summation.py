@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridres.summation import (
     BASE_BLOCK,
+    EPS,
     CompensatedSum,
     block_ranges,
     block_sum,
@@ -26,12 +29,51 @@ def test_scalar_add_matches_fsum():
 
 def test_block_sum_beats_naive_on_cancellation():
     # Large equal-magnitude pairs around tiny terms defeat naive np.sum
-    # ordering but not compensated lanes.
+    # ordering but not the TwoSum tree, whose rounding errors are kept.
     rng = np.random.Generator(np.random.PCG64(0))
     small = rng.random(4096) * 1e-9
     values = np.concatenate([[1e15], small, [-1e15]])
     exact = math.fsum(values.tolist())
     assert abs(block_sum(values).value - exact) <= 1e-12 * abs(exact)
+
+
+def _wide_values(n, seed):
+    """Seeded values over 26 decades; from n = 2 on, the ends hold a cancelling pair."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    values = rng.standard_normal(n) * 10.0 ** rng.uniform(-13.0, 13.0, n)
+    if n >= 2:
+        values[0], values[-1] = 7.5e13, -7.5e13
+    return values
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 511, 512, 513, 4097, 65535, 65536])
+def test_block_sum_is_correctly_rounded_within_bound(n):
+    values = _wide_values(n, seed=n)
+    exact = sum(map(Fraction, values.tolist()), Fraction(0))
+    acc = block_sum(values)
+    assert abs(Fraction(acc.value) - exact) <= Fraction(acc.err_bound)
+    assert acc.value == float(exact)
+
+
+def _state(acc):
+    return acc._sum, acc._comp, acc.abs_sum, acc.count
+
+
+def test_block_sum_reads_views_as_their_contiguous_copy():
+    values = _wide_values(3 * 4097, seed=7)
+    matrix = values.reshape(3, 4097)
+    for view in (matrix, matrix.T, values[::3], matrix[:, ::2]):
+        got, ref = block_sum(view), block_sum(np.array(view).ravel())
+        assert _state(got) == _state(ref)
+
+
+def test_block_sum_count_and_abs_sum():
+    for n in (0, 1, 513, 65536):
+        values = _wide_values(n, seed=3)
+        acc = block_sum(values)
+        assert acc.count == n
+        assert acc.abs_sum == float(np.abs(values).sum())
+        assert acc.err_bound == 2.0 * EPS * acc.abs_sum
 
 
 @settings(max_examples=50, deadline=None)
