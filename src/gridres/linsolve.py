@@ -8,9 +8,12 @@ oracle independent of any external solver.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SingularSystem
+from .families import require_int
 from .laplacian import DenseLaplacian
 from .summation import EPS
 
@@ -20,14 +23,27 @@ class GroundedSolver:
 
     def __init__(self, lap: DenseLaplacian, ground: int) -> None:
         n = lap.n
+        ground = require_int(ground, "ground node")
         if not (0 <= ground < n):
             raise ValueError(f"ground node {ground} outside [0, {n})")
         self.n = n
         self.ground = ground
-        keep = np.arange(n) != ground
-        self._keep = keep
-        reduced = lap.matrix[np.ix_(keep, keep)]
+        self._keep = np.arange(n) != ground
+        reduced = np.delete(np.delete(lap.matrix, ground, 0), ground, 1)
         self._chol = _cholesky(reduced)
+
+    @property
+    def last_pivot(self) -> float:
+        """Last pivot of the factorization: the factor's last diagonal, squared.
+
+        Eliminating every other kept node first (Kron reduction) leaves the
+        last kept node joined to the ground by one edge, and the pivot is
+        that edge's conductance.
+        """
+        if self.n < 2:
+            raise ValueError("a single grounded node leaves no pivot")
+        d = float(self._chol[-1, -1])
+        return d * d
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Potential vector W with W[ground] = 0 and L W = b off the ground row."""
@@ -73,20 +89,30 @@ def solve_grounded(lap: DenseLaplacian, b: np.ndarray, ground: int) -> np.ndarra
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor of an SPD matrix; column-wise elimination."""
+    """Lower-triangular factor of an SPD matrix by left-looking elimination.
+
+    Column j, for j = 0 .. m-1 in order: with r the finished row j of the
+    factor left of the diagonal, the pivot is a[j, j] - r . r, the diagonal
+    is its square root d, and the entries below it become
+    (a[j+1:, j] - L[j+1:, :j] r) / d, updated in place. A pivot at or below
+    the floor raises SingularSystem.
+    """
     m = a.shape[0]
     c = np.array(a, dtype=np.float64)
     if m == 0:
         return c
     floor = max(float(np.max(np.diag(c))), 1.0) * m * EPS * 16.0
     for j in range(m):
-        pivot = c[j, j] - c[j, :j] @ c[j, :j]
+        r = c[j, :j]
+        pivot = float(c[j, j] - r @ r)
         if pivot <= floor:
             raise SingularSystem("grounded system is singular (disconnected graph)")
-        d = np.sqrt(pivot)
+        d = math.sqrt(pivot)
         c[j, j] = d
         if j + 1 < m:
-            c[j + 1 :, j] = (c[j + 1 :, j] - c[j + 1 :, :j] @ c[j, :j]) / d
+            col = c[j + 1 :, j]
+            col -= c[j + 1 :, :j] @ r
+            col /= d
     return np.tril(c)
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .eigen import eigenvalues_symmetric
 from .errors import InvalidFamily, SizeExceeded
-from .families import Explicit, GraphFamily, Hypercube, Ring, Torus
-from .laplacian import build_laplacian
+from .families import Explicit, GraphFamily, Hypercube, Ring, Torus, require_int
+from .laplacian import DenseLaplacian, build_laplacian
 from .linsolve import GroundedSolver
 from .spectrum import (
     ResistanceResult,
@@ -94,20 +94,24 @@ def rave_hypercube_recursive(d: int) -> ResistanceResult:
 def pairwise_reff(g: GraphFamily, u: int, v: int) -> float:
     """Effective resistance between two nodes of a unit-resistor network.
 
-    Injects a unit current at u, extracts it at v, and reads the potential
-    difference off the grounded solve.
+    Grounds v and eliminates u last: the Laplacian is permuted so that u and
+    then v are its last two nodes, and the grounded system is factored once.
+    Eliminating every other node (Kron reduction) leaves one edge of
+    conductance 1/R_uv between u and the grounded v, and that conductance
+    is the last Cholesky pivot p, so R_uv = 1/p with no solve. Every node
+    is still eliminated, so a disconnected graph raises DisconnectedGraph
+    wherever the disconnection lies.
     """
+    u = require_int(u, "node u")
+    v = require_int(v, "node v")
     n = g.node_count()
     if u == v:
         raise ValueError("pairwise resistance requires two distinct nodes")
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"nodes ({u}, {v}) outside [0, {n})")
-    lap = build_laplacian(g)
-    b = np.zeros(n)
-    b[u] = 1.0
-    b[v] = -1.0
-    w = GroundedSolver(lap, ground=v).solve(b)
-    return float(w[u] - w[v])
+    order = np.append(np.delete(np.arange(n), (u, v)), (u, v))
+    lap = build_laplacian(g).matrix.take(order, 0).take(order, 1)
+    return 1.0 / GroundedSolver(DenseLaplacian(lap), ground=n - 1).last_pivot
 
 
 def rave_definition_oracle(g: GraphFamily, node_cap: int = ORACLE_NODE_CAP) -> ResistanceResult:

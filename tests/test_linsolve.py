@@ -7,11 +7,13 @@ from gridres import (
     DisconnectedGraph,
     Explicit,
     GroundedSolver,
+    InvalidFamily,
     Ring,
     SingularSystem,
     build_laplacian,
     solve_grounded,
 )
+from gridres.linsolve import _cholesky
 from gridres.verify import random_connected_graph
 
 K3 = Explicit(3, [(0, 1), (1, 2), (0, 2)])
@@ -49,6 +51,23 @@ def test_disconnected_graph_is_singular():
     assert issubclass(SingularSystem, DisconnectedGraph)
 
 
+def test_ground_node_validation():
+    lap = build_laplacian(K3)
+    with pytest.raises(InvalidFamily, match="integer"):
+        GroundedSolver(lap, 1.0)
+    with pytest.raises(ValueError):
+        GroundedSolver(lap, 3)
+    assert GroundedSolver(lap, np.int64(2)).ground == 2
+
+
+def test_last_pivot_is_the_kron_reduced_conductance():
+    # Ground node 3 of a 4-ring: node 2, eliminated last, sees two paths of
+    # one and three resistors in parallel, a conductance of 1 + 1/3.
+    assert abs(GroundedSolver(build_laplacian(Ring(4)), 3).last_pivot - 4.0 / 3.0) <= 1e-15
+    with pytest.raises(ValueError):
+        GroundedSolver(build_laplacian(Explicit(1, [])), 0).last_pivot
+
+
 def test_green_matrix_matches_column_solves():
     lap = build_laplacian(Ring(5))
     solver = GroundedSolver(lap, ground=0)
@@ -75,3 +94,21 @@ def test_residual_invariant(seed):
     assert w[ground] == 0.0
     residual = float(np.max(np.abs(lap.matrix @ w - b)))
     assert residual <= 1e-9 * float(np.max(np.abs(b)))
+
+
+def _cholesky_reference(a):
+    """The same column loop with one whole-slice numpy expression per update."""
+    c = np.array(a, dtype=np.float64)
+    for j in range(c.shape[0]):
+        c[j, j] = np.sqrt(c[j, j] - c[j, :j] @ c[j, :j])
+        c[j + 1 :, j] = (c[j + 1 :, j] - c[j + 1 :, :j] @ c[j, :j]) / c[j, j]
+    return np.tril(c)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_cholesky_bit_identical_to_reference_loop(seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    g = random_connected_graph(rng, max_nodes=40)
+    a = build_laplacian(g).matrix[1:, 1:]
+    assert np.array_equal(_cholesky(a), _cholesky_reference(a))

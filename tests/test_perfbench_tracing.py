@@ -1,10 +1,12 @@
-"""The benchmark's trace counters see gridres's reduction.
+"""The benchmark's trace counters see gridres's reduction and dense solver.
 
-``perfbench/tracing.py`` binds ``summation.block_sum`` by name and counts
-each call's ``count``. A refactor that renamed the reduction, bypassed it
-or stopped filling ``count`` would leave ``--trace 1`` reporting zeros
-without failing, so this pins the counters on three small calls. The
-tracer replaces functions module-wide, so it runs in a fresh interpreter.
+``perfbench/tracing.py`` binds ``summation.block_sum``, the dense
+Laplacian and solver entry points and ``GroundedSolver``'s methods by name,
+and counts each ``block_sum`` call's ``count``. A refactor that renamed one
+of them, bypassed it or stopped filling ``count`` would leave ``--trace 1``
+reporting zeros, or crashing in ``install``, without failing a test, so
+this pins the counters on a few small calls. The tracer replaces functions
+module-wide, so each trace runs in a fresh interpreter.
 """
 
 import json
@@ -23,22 +25,44 @@ from tracing import Tracer
 tracer = Tracer()
 tracer.install(gridres)
 start = time.perf_counter()
-gridres.rave_torus((8, 8))
-gridres.interior_sum(4, 3)
-gridres.estimate_integral(3, budget=10**4)
+{calls}
 print(json.dumps(tracer.per_round([(start, time.perf_counter())], [1.0])))
 """
 
 
-def test_trace_counts_block_sum_work():
+def _trace(calls: str) -> dict:
+    """Per-layer trace metrics of ``calls``, run in a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench")],
+        [sys.executable, "-c", SCRIPT.format(calls=calls), str(ROOT / "src"), str(ROOT / "perfbench")],
         stdout=subprocess.PIPE,
         text=True,
         check=True,
         timeout=60,
     )
-    layers = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_trace_counts_block_sum_work():
+    layers = _trace(
+        "gridres.rave_torus((8, 8))\n"
+        "gridres.interior_sum(4, 3)\n"
+        "gridres.estimate_integral(3, budget=10**4)"
+    )
     assert layers["summation.block_sum.calls"] == 4
     assert layers["summation.block_sum.values"] == 20016
     assert layers["quadrature.interior_sum.terms"] == 9
+
+
+def test_trace_counts_dense_solver_calls():
+    layers = _trace(
+        "g = gridres.Explicit(4, [(0, 1), (1, 2), (2, 3), (0, 2)])\n"
+        "gridres.pairwise_reff(g, 0, 3)\n"
+        "gridres.rave_definition_oracle(g)\n"
+        "gridres.rave(g)"
+    )
+    assert layers["resistance.pairwise_reff.calls"] == 1
+    assert layers["laplacian.build_laplacian.calls"] == 3
+    assert layers["linsolve.GroundedSolver.factor.calls"] == 3
+    assert layers["linsolve.GroundedSolver.green_matrix.calls"] == 2
+    # pairwise_reff reads the last pivot; nothing here solves
+    assert layers["linsolve.GroundedSolver.solve.calls"] == 0

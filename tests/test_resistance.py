@@ -6,16 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridres.eigen
+import gridres.linsolve
 import gridres.resistance
 from gridres import (
     DisconnectedGraph,
     Explicit,
+    GroundedSolver,
     Hypercube,
     InvalidFamily,
     Overflow,
     Ring,
     SizeExceeded,
     Torus,
+    build_laplacian,
     hypercube_ad_direct,
     hypercube_ad_recursive,
     hypercube_spectrum,
@@ -151,6 +154,63 @@ def test_pairwise_validation():
         pairwise_reff(K3, 1, 1)
     with pytest.raises(ValueError):
         pairwise_reff(K3, 0, 5)
+
+
+def test_pairwise_rejects_non_integer_nodes():
+    path = Explicit(3, [(0, 1), (1, 2)])
+    with pytest.raises(InvalidFamily, match="integer"):
+        pairwise_reff(path, 1.5, 0)
+    with pytest.raises(InvalidFamily, match="integer"):
+        pairwise_reff(path, 0, 2.0)
+    assert pairwise_reff(path, np.int64(0), np.int64(2)) == pairwise_reff(path, 0, 2)
+
+
+def test_pairwise_disconnected_graph():
+    two_edges = Explicit(4, [(0, 1), (2, 3)])
+    with pytest.raises(DisconnectedGraph):
+        pairwise_reff(two_edges, 0, 2)  # u and v in different components
+    with pytest.raises(DisconnectedGraph):
+        pairwise_reff(two_edges, 0, 1)  # same component, another one exists
+    with pytest.raises(DisconnectedGraph):
+        pairwise_reff(Explicit(3, [(0, 1)]), 1, 0)  # an isolated third node
+
+
+def test_pairwise_two_nodes():
+    assert pairwise_reff(Explicit(2, [(0, 1)]), 0, 1) == 1.0
+    assert pairwise_reff(Hypercube(1), 1, 0) == 1.0
+
+
+def test_pairwise_reads_the_pivot_without_solving(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pairwise_reff ran a solve or a triangular substitution")
+
+    monkeypatch.setattr(gridres.linsolve.GroundedSolver, "solve", forbidden)
+    monkeypatch.setattr(gridres.linsolve, "_solve_lower", forbidden)
+    monkeypatch.setattr(gridres.linsolve, "_solve_upper", forbidden)
+    assert abs(pairwise_reff(Ring(5), 0, 2) - 1.2) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_pairwise_foster_theorem(seed):
+    # Foster: over the edges of a connected graph, sum R_e = n - 1.
+    g = random_connected_graph(np.random.Generator(np.random.PCG64(seed)), max_nodes=40)
+    total = math.fsum(pairwise_reff(g, u, v) for u, v in g.edges)
+    assert abs(total - (g.n - 1)) <= 1e-10 * g.n
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_pairwise_matches_green_matrix(seed):
+    # Grounding node 0 and solving for every column shares neither the
+    # elimination order nor the pivot read-off with pairwise_reff.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    g = random_connected_graph(rng, max_nodes=40)
+    green = GroundedSolver(build_laplacian(g), 0).green_matrix()
+    for _ in range(5):
+        u, v = (int(x) for x in rng.choice(g.n, size=2, replace=False))
+        expected = green[u, u] + green[v, v] - 2.0 * green[u, v]
+        assert abs(pairwise_reff(g, u, v) - expected) <= 1e-12 * expected
 
 
 @settings(max_examples=25, deadline=None)
