@@ -28,6 +28,7 @@ from .resistance import (
     rave_ring_exact,
     rave_torus,
 )
+from .summation import default_threads
 from .verify import (
     all_suites,
     bounds_suite,
@@ -99,11 +100,14 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def default_threads() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--torus", type=_int_list, metavar="M1,M2,...")
     which.add_argument("--hypercube", type=int, metavar="D")
     which.add_argument("--graph", metavar="FILE", help="edge-list file")
-    p_rave.add_argument("--threads", type=int, default=threads)
+    p_rave.add_argument("--threads", type=_positive_int, default=threads)
     p_rave.add_argument("--max-terms", type=int, default=MAX_TERMS)
 
     p_sweep = sub.add_parser("sweep", help="write a parameter sweep as CSV")
@@ -132,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m", type=_int_list, metavar="M,...", help="side lengths")
     p_sweep.add_argument("--d", type=_int_list, metavar="D,...", help="dimensions")
     p_sweep.add_argument("--out", required=True, metavar="FILE")
-    p_sweep.add_argument("--threads", type=int, default=threads)
+    p_sweep.add_argument("--threads", type=_positive_int, default=threads)
     p_sweep.add_argument("--max-terms", type=int, default=MAX_TERMS)
 
     p_verify = sub.add_parser("verify", help="run cross-validation suites")
@@ -142,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("oracle", "bounds", "recursion", "integral", "all"),
     )
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--threads", type=int, default=threads)
+    p_verify.add_argument("--threads", type=_positive_int, default=threads)
     p_verify.add_argument("--budget", type=int, default=10**6)
 
     p_fit = sub.add_parser("fit", help="fit an asymptotic model to sweep rows")

@@ -29,7 +29,11 @@ class GroundedSolver:
         self.n = n
         self.ground = ground
         self._keep = np.arange(n) != ground
-        reduced = np.delete(np.delete(lap.matrix, ground, 0), ground, 1)
+        if ground == n - 1:
+            # a view: _cholesky copies its input anyway
+            reduced = lap.matrix[:-1, :-1]
+        else:
+            reduced = np.delete(np.delete(lap.matrix, ground, 0), ground, 1)
         self._chol = _cholesky(reduced)
 
     @property

@@ -44,6 +44,11 @@ from .summation import (
 )
 
 MIN_BUDGET = 10**4
+# Monte Carlo rows drawn and evaluated at a time within a base block, so a
+# worker holds one chunk of samples rather than a block's. Every step is
+# elementwise or row-wise and successive draws continue one Philox stream,
+# so no result depends on this value.
+CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -57,19 +62,22 @@ class IntegralEstimate:
     params: dict[str, Any]
 
 
-def _denominators(x: np.ndarray) -> np.ndarray:
-    """Row-wise 4 sum_i sin^2(pi x_i), the integrand's denominator.
+def _denominators(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row-wise 4 sum_i sin^2(pi x_i), the integrand's denominator, into out.
 
-    Coordinates are reduced to their distance from the nearest integer
-    before the sine evaluation, so the denominator keeps full relative
-    accuracy close to the singular lattice images of the origin. A zero
-    denominator raises SingularPoint.
+    x is overwritten with the sines. Coordinates are reduced to their
+    distance from the nearest integer before the sine evaluation, so the
+    denominator keeps full relative accuracy close to the singular lattice
+    images of the origin. A zero denominator raises SingularPoint.
     """
-    s = np.sin(np.pi * (x - np.round(x)))
-    denom = 4.0 * np.einsum("ij,ij->i", s, s)
-    if np.any(denom == 0.0):
+    x -= np.round(x)
+    x *= np.pi
+    np.sin(x, out=x)
+    np.einsum("ij,ij->i", x, x, out=out)
+    out *= 4.0
+    if np.any(out == 0.0):
         raise SingularPoint("integrand evaluated at a lattice image of the origin")
-    return denom
+    return out
 
 
 def integrand_f(x: Sequence[float]) -> float:
@@ -77,7 +85,8 @@ def integrand_f(x: Sequence[float]) -> float:
 
     Points with every coordinate integral raise SingularPoint.
     """
-    return float(1.0 / _denominators(np.asarray(x, dtype=np.float64)[None, :])[0])
+    point = np.array(x, dtype=np.float64)[None, :]
+    return float(1.0 / _denominators(point, np.empty(1))[0])
 
 
 def estimate_integral(
@@ -91,8 +100,15 @@ def estimate_integral(
 
     monte_carlo: uniform samples on the unit cube, split into fixed
     blocks seeded independently of the worker count; err is three standard
-    errors. riemann_refined: midpoint rule on the largest grid fitting the
-    budget, with the half-resolution grid supplying a deterministic err.
+    errors. Each worker draws and evaluates its block CHUNK_ROWS samples at
+    a time, so it holds one chunk of samples, not one block. At d = 3 the
+    integrand's variance is infinite, so this "3 sigma" band under-covers:
+    at 10^4 samples it misses the integral on 33 of seeds 0-299, against a
+    nominal 0.27%. riemann_refined: midpoint rule on the largest grid
+    fitting the budget, with the half-resolution grid supplying a
+    deterministic err.
+
+    threads must be an integer >= 1; see summation.map_blocks.
     """
     d = require_int(d, "dimension")
     budget = require_int(budget, "budget")
@@ -116,7 +132,15 @@ def _monte_carlo(d: int, budget: int, seed: int, threads: int) -> IntegralEstima
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
         )
-        f = 1.0 / _denominators(rng.random((hi - lo, d)))
+        n = hi - lo
+        f = np.empty(n)
+        chunk = np.empty((min(CHUNK_ROWS, n), d))
+        for a in range(0, n, CHUNK_ROWS):
+            b = min(a + CHUNK_ROWS, n)
+            x = chunk[: b - a]
+            rng.random(out=x)
+            _denominators(x, f[a:b])
+        np.divide(1.0, f, out=f)
         return block_sum(f), block_sum(f * f)
 
     partials = map_blocks(block_ranges(budget), block_stats, threads)

@@ -12,10 +12,14 @@ of parallelism.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
+
+from .errors import InvalidFamily
+from .families import require_int
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -115,15 +119,33 @@ def block_ranges(total: int, block: int = BASE_BLOCK) -> list[tuple[int, int]]:
     return [(lo, min(lo + block, total)) for lo in range(0, total, block)]
 
 
+def default_threads() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def map_blocks(
     ranges: Sequence[tuple[int, int]],
     fn: Callable[[int, int], T],
     threads: int = 1,
 ) -> list[T]:
-    """Apply fn to every block range, results in block order."""
-    if threads <= 1 or len(ranges) <= 1:
+    """Apply fn to every block range, results in block order.
+
+    threads must be an integer >= 1 (InvalidFamily otherwise). The pool
+    starts at most one worker per block and per CPU this process may run
+    on, so a large thread count costs no extra OS threads.
+    """
+    threads = require_int(threads, "threads")
+    if threads < 1:
+        raise InvalidFamily(f"threads must be >= 1, got {threads}")
+    workers = min(threads, len(ranges))
+    if workers > 1:
+        workers = min(workers, default_threads())
+    if workers <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda r: fn(r[0], r[1]), ranges))
 
 

@@ -65,6 +65,19 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-3", "2.0", "x"])
+def test_threads_must_be_a_positive_integer(capsys, tmp_path, threads):
+    for argv in (
+        ["rave", "--ring", "3"],
+        ["sweep", "--family", "ring", "--m", "3", "--out", str(tmp_path / "rows.csv")],
+        ["verify", "--suite", "recursion"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+
 def test_computation_errors_exit_3(capsys):
     code, out, err = run(capsys, "rave", "--torus", "2,2")
     assert code == 3

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from gridres import (
     DivergentIntegral,
     GridResError,
     InsufficientBudget,
+    IntegralEstimate,
     InvalidFamily,
     SingularPoint,
     SizeExceeded,
@@ -15,8 +17,9 @@ from gridres import (
     interior_sum,
     rave_torus,
 )
-from gridres.quadrature import _midpoint_mean
+from gridres.quadrature import CHUNK_ROWS, _midpoint_mean
 from gridres.spectrum import side_contribution_table, table_sums
+from gridres.summation import BASE_BLOCK, EPS, CompensatedSum, block_ranges, block_sum
 
 # midpoint extrapolation over grids 64/128/256 agrees with this to 5 digits
 I3_REFERENCE = 0.2527310098
@@ -26,6 +29,13 @@ def test_integrand_examples():
     assert abs(integrand_f([0.25, 0.25]) - 0.25) <= 1e-15
     assert abs(integrand_f([0.5, 0.5]) - 0.125) <= 1e-16
     assert abs(integrand_f([0.5, 0.5, 0.5]) - 1.0 / 12.0) <= 1e-16
+
+
+def test_integrand_leaves_its_argument_alone():
+    # the denominator kernel works in place; integrand_f must hand it a copy
+    point = np.array([0.75, 1.25, -0.5])
+    assert abs(integrand_f(point) - 1.0 / 8.0) <= 1e-16
+    assert point.tolist() == [0.75, 1.25, -0.5]
 
 
 def test_integrand_singular_points():
@@ -174,3 +184,47 @@ def test_estimate_integral_seed_checked():
     for seed in (2.5, -1):
         with pytest.raises(GridResError, match="seed"):
             estimate_integral(3, budget=10**4, seed=seed)
+
+
+def unstreamed_monte_carlo(d, budget, seed):
+    """The Monte Carlo estimate with every base block evaluated as one array."""
+    acc, acc_sq = CompensatedSum(), CompensatedSum()
+    for lo, hi in block_ranges(budget):
+        key = np.random.SeedSequence(entropy=seed, spawn_key=(lo // BASE_BLOCK,))
+        x = np.random.Generator(np.random.Philox(key)).random((hi - lo, d))
+        s = np.sin(np.pi * (x - np.round(x)))
+        f = 1.0 / (4.0 * np.einsum("ij,ij->i", s, s))
+        acc.combine(block_sum(f))
+        acc_sq.combine(block_sum(f * f))
+    mean = acc.value / budget
+    variance = max(0.0, (acc_sq.value - budget * mean * mean) / (budget - 1))
+    err = max(3.0 * math.sqrt(variance / budget), 4.0 * EPS * abs(mean))
+    return IntegralEstimate(d, mean, err, "monte_carlo", {"samples": budget, "seed": seed})
+
+
+@pytest.mark.parametrize("budget", [10**4, BASE_BLOCK + 4097])
+@pytest.mark.parametrize("d", [3, 8])
+def test_streamed_monte_carlo_is_bit_identical(d, budget):
+    # neither budget is a multiple of the chunk or of the base block, so
+    # partial chunks and a partial block are both evaluated
+    assert budget % CHUNK_ROWS and budget % BASE_BLOCK
+    expected = unstreamed_monte_carlo(d, budget, 42)
+    for threads in (1, 2):
+        assert estimate_integral(d, budget=budget, seed=42, threads=threads) == expected
+
+
+def test_monte_carlo_peak_memory():
+    # Streaming holds one CHUNK_ROWS x d sample chunk, the block's f and f*f
+    # (0.5 MiB each for 65,536 samples) and block_sum's working arrays of a
+    # block's length: 3.0 MiB measured. Evaluating a whole 65,536 x 8 block
+    # at once held its samples and four temporaries of the same size, 4 MiB
+    # each: 12.0 MiB measured. 4 MiB separates the two with room for numpy
+    # versions that keep one more block-length array.
+    estimate_integral(8, budget=10**4)
+    tracemalloc.start()
+    try:
+        estimate_integral(8, budget=4 * BASE_BLOCK + 4097, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

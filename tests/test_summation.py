@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridres import InvalidFamily, estimate_integral, rave_torus, summation
 from gridres.summation import (
     BASE_BLOCK,
     EPS,
@@ -104,6 +105,49 @@ def test_map_blocks_preserves_order():
     serial = map_blocks(ranges, lambda lo, hi: lo, threads=1)
     threaded = map_blocks(ranges, lambda lo, hi: lo, threads=4)
     assert serial == threaded == [lo for lo, _ in ranges]
+
+
+@pytest.mark.parametrize("threads", ["2", 2.0, 0, -3])
+def test_threads_validated(threads):
+    for call in (
+        lambda: map_blocks(block_ranges(10), lambda lo, hi: lo, threads),
+        lambda: rave_torus((4, 4), threads=threads),
+        lambda: estimate_integral(3, budget=10**4, threads=threads),
+    ):
+        with pytest.raises(InvalidFamily, match="threads"):
+            call()
+
+
+def test_pool_capped_by_blocks_and_cpus(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(summation, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(summation, "default_threads", lambda: 4)
+    ranges = block_ranges(10**8)
+    assert len(ranges) == 1526
+    assert map_blocks(ranges, lambda lo, hi: lo, 10**6) == [lo for lo, _ in ranges]
+    assert map_blocks(ranges[:3], lambda lo, hi: lo, 10**6) == [0, BASE_BLOCK, 2 * BASE_BLOCK]
+    assert map_blocks(ranges, lambda lo, hi: lo, 2)[-1] == ranges[-1][0]
+    assert started == [4, 3, 2]
+    # one block, one thread or one CPU: no pool at all
+    map_blocks(ranges[:1], lambda lo, hi: lo, 8)
+    map_blocks(ranges, lambda lo, hi: lo, 1)
+    monkeypatch.setattr(summation, "default_threads", lambda: 1)
+    map_blocks(ranges, lambda lo, hi: lo, 8)
+    assert started == [4, 3, 2]
 
 
 def test_reduce_blocks_thread_invariant():
