@@ -30,7 +30,7 @@ from .errors import (
     SizeExceeded,
 )
 from .families import Explicit, GraphFamily, Hypercube, Ring, Torus, read_edge_list
-from .laplacian import DENSE_LIMIT, DenseLaplacian, build_laplacian
+from .laplacian import DENSE_LIMIT, build_laplacian
 from .linsolve import GroundedSolver, solve_grounded
 from .quadrature import IntegralEstimate, estimate_integral, integrand_f, interior_sum
 from .resistance import (
@@ -59,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "DENSE_LIMIT",
-    "DenseLaplacian",
     "DisconnectedGraph",
     "DisconnectedSpectrum",
     "DivergentIntegral",

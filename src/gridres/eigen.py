@@ -13,7 +13,6 @@ import warnings
 import numpy as np
 
 from .errors import NoConvergence
-from .laplacian import DenseLaplacian
 
 MAX_SWEEPS = 100
 # Above this size a cyclic Jacobi sweep is noticeably slow; the dense
@@ -21,20 +20,16 @@ MAX_SWEEPS = 100
 SOFT_SIZE_LIMIT = 500
 
 
-def eigenvalues_symmetric(
-    matrix: DenseLaplacian | np.ndarray,
-    tol: float = 1e-12,
-    max_sweeps: int = MAX_SWEEPS,
-) -> np.ndarray:
+def eigenvalues_symmetric(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, sorted nondecreasing.
 
     Cyclic Jacobi: sweeps of plane rotations annihilate off-diagonal
     entries until the off-diagonal Frobenius norm drops below
-    tol * ||A||_F. Raises NoConvergence after max_sweeps.
+    tol * ||A||_F. Raises NoConvergence after MAX_SWEEPS sweeps.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    a = matrix.matrix if isinstance(matrix, DenseLaplacian) else np.asarray(matrix, dtype=np.float64)
+    a = np.asarray(matrix, dtype=np.float64)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError("matrix must be square")
@@ -55,7 +50,7 @@ def eigenvalues_symmetric(
     # back above the target, so rotating them is wasted work.
     skip = target / (8.0 * n)
 
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         off = math.sqrt(2.0) * float(np.linalg.norm(np.triu(a, 1)))
         if off <= target:
             return np.sort(np.diag(a))
@@ -81,7 +76,7 @@ def eigenvalues_symmetric(
                 a[:, q] = s * col_p + c * col_q
                 a[p, q] = 0.0
                 a[q, p] = 0.0
-    raise NoConvergence(f"Jacobi did not reach off-norm {target:g} in {max_sweeps} sweeps")
+    raise NoConvergence(f"Jacobi did not reach off-norm {target:g} in {MAX_SWEEPS} sweeps")
 
 
 def null_mode_count(eigenvalues: np.ndarray) -> int:

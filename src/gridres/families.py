@@ -2,7 +2,9 @@
 
 A family is a small immutable value describing a structured graph
 symbolically. Nothing here materializes matrices; descriptors are the
-shared input type of every computation in the package.
+shared input type of every computation in the package. A family's edges
+are one (E, 2) integer array (``family_edges``), the form from which the
+dense Laplacian is assembled.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
+
+import numpy as np
 
 from .errors import InvalidFamily
 
@@ -124,54 +128,37 @@ class Explicit:
 GraphFamily = Union[Ring, Torus, Hypercube, Explicit]
 
 
-def family_edges(g: GraphFamily) -> Iterator[tuple[int, int]]:
-    """Yield the edge list of a family, each unordered pair exactly once.
+def family_edges(g: GraphFamily) -> np.ndarray:
+    """The edges of a family as one (E, 2) intp array.
 
-    Torus nodes are indexed row-major over the coordinate tuple; hypercube
-    nodes are the integers 0 .. 2^d - 1 read as bit words.
+    Each unordered pair appears once, lower endpoint first. Torus nodes are
+    indexed row-major over the coordinate tuple; hypercube nodes are the
+    integers 0 .. 2^d - 1 read as bit words.
     """
     if isinstance(g, Ring):
-        if g.m == 1:
-            return
         if g.m == 2:
             raise InvalidFamily(
                 "Ring(2) as a cycle is a double edge and has no simple-graph "
                 "Laplacian; use Hypercube(1) for the single-edge two-node graph"
             )
-        for i in range(g.m):
-            j = (i + 1) % g.m
-            yield (i, j) if i < j else (j, i)
-    elif isinstance(g, Torus):
-        dims = g.dims
-        strides = _row_major_strides(dims)
-        n = g.node_count()
-        for node in range(n):
-            coords = _decode(node, dims, strides)
-            for axis, m in enumerate(dims):
-                step = coords[axis]
-                neighbour = node + strides[axis] * (((step + 1) % m) - step)
-                yield (node, neighbour) if node < neighbour else (neighbour, node)
-    elif isinstance(g, Hypercube):
-        for v in range(2**g.d):
-            for j in range(g.d):
-                u = v ^ (1 << j)
-                if u > v:
-                    yield v, u
-    elif isinstance(g, Explicit):
-        yield from sorted(g.edges)
-    else:
-        raise InvalidFamily(f"unknown graph family {type(g).__name__}")
-
-
-def _row_major_strides(dims: tuple[int, ...]) -> tuple[int, ...]:
-    strides = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    return tuple(strides)
-
-
-def _decode(node: int, dims: tuple[int, ...], strides: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((node // s) % m for s, m in zip(strides, dims))
+        if g.m == 1:
+            return np.empty((0, 2), dtype=np.intp)
+        return family_edges(Torus((g.m,)))
+    if isinstance(g, Torus):
+        nodes = np.arange(g.node_count(), dtype=np.intp).reshape(g.dims)
+        pairs = [
+            np.stack((nodes, np.roll(nodes, -1, axis)), axis=-1).reshape(-1, 2)
+            for axis in range(len(g.dims))
+        ]
+        return np.sort(np.concatenate(pairs), axis=1)
+    if isinstance(g, Hypercube):
+        v = np.arange(2**g.d, dtype=np.intp)[:, None]
+        bits = np.left_shift(1, np.arange(g.d, dtype=np.intp))
+        clear = (v & bits) == 0
+        return np.stack((np.broadcast_to(v, clear.shape)[clear], (v | bits)[clear]), axis=1)
+    if isinstance(g, Explicit):
+        return np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2)
+    raise InvalidFamily(f"unknown graph family {type(g).__name__}")
 
 
 def read_edge_list(path: str | Path) -> Explicit:
@@ -188,14 +175,17 @@ def read_edge_list(path: str | Path) -> Explicit:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        if len(parts) != (1 if n is None else 2):
+            expected = "a single node count" if n is None else "'u v'"
+            raise InvalidFamily(f"{path}:{lineno}: expected {expected}, got {line!r}")
+        try:
+            values = [int(part) for part in parts]
+        except ValueError:
+            raise InvalidFamily(f"{path}:{lineno}: expected integers, got {line!r}") from None
         if n is None:
-            if len(parts) != 1:
-                raise InvalidFamily(f"{path}:{lineno}: expected a single node count, got {line!r}")
-            n = int(parts[0])
-            continue
-        if len(parts) != 2:
-            raise InvalidFamily(f"{path}:{lineno}: expected 'u v', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+            n = values[0]
+        else:
+            edges.append((values[0], values[1]))
     if n is None:
         raise InvalidFamily(f"{path}: empty edge-list file")
     return Explicit(n, edges)

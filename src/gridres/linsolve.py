@@ -14,15 +14,14 @@ import numpy as np
 
 from .errors import SingularSystem
 from .families import require_int
-from .laplacian import DenseLaplacian
 from .summation import EPS
 
 
 class GroundedSolver:
     """Reusable factorization of a Laplacian with one grounded node."""
 
-    def __init__(self, lap: DenseLaplacian, ground: int) -> None:
-        n = lap.n
+    def __init__(self, lap: np.ndarray, ground: int) -> None:
+        n = lap.shape[0]
         ground = require_int(ground, "ground node")
         if not (0 <= ground < n):
             raise ValueError(f"ground node {ground} outside [0, {n})")
@@ -31,9 +30,9 @@ class GroundedSolver:
         self._keep = np.arange(n) != ground
         if ground == n - 1:
             # a view: _cholesky copies its input anyway
-            reduced = lap.matrix[:-1, :-1]
+            reduced = lap[:-1, :-1]
         else:
-            reduced = np.delete(np.delete(lap.matrix, ground, 0), ground, 1)
+            reduced = np.delete(np.delete(lap, ground, 0), ground, 1)
         self._chol = _cholesky(reduced)
 
     @property
@@ -74,7 +73,7 @@ class GroundedSolver:
         return g
 
 
-def solve_grounded(lap: DenseLaplacian, b: np.ndarray, ground: int) -> np.ndarray:
+def solve_grounded(lap: np.ndarray, b: np.ndarray, ground: int) -> np.ndarray:
     """One-shot grounded solve that first checks the injection is balanced.
 
     This is the entry for a caller-supplied current injection b: it raises

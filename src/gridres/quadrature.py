@@ -187,12 +187,7 @@ def _midpoint_mean(d: int, grid: int, threads: int) -> float:
     return value / grid**d
 
 
-def interior_sum(
-    m: int,
-    dims: int,
-    threads: int = 1,
-    max_terms: int = MAX_TERMS,
-) -> float:
+def interior_sum(m: int, dims: int, threads: int = 1) -> float:
     """Normalized spectral sum over index vectors with every component positive.
 
     Returns (1/M^dims) * sum 1/lambda_h over h in [1, M-1]^dims. Each cell
@@ -206,7 +201,7 @@ def interior_sum(
     if dims < 1:
         raise ValueError(f"dimension must be >= 1, got {dims}")
     total = (m - 1) ** dims
-    if total > max_terms:
-        raise SizeExceeded(f"{total} interior terms exceed the cap {max_terms}")
+    if total > MAX_TERMS:
+        raise SizeExceeded(f"{total} interior terms exceed the cap {MAX_TERMS}")
     value, _ = closed_axis_sum((m,) * dims, interior=True, threads=threads)
     return value / float(m) ** dims

@@ -22,7 +22,7 @@ import numpy as np
 from .eigen import eigenvalues_symmetric
 from .errors import InvalidFamily, SizeExceeded
 from .families import Explicit, GraphFamily, Hypercube, Ring, Torus, require_int
-from .laplacian import DenseLaplacian, build_laplacian
+from .laplacian import build_laplacian
 from .linsolve import GroundedSolver
 from .spectrum import (
     ResistanceResult,
@@ -31,7 +31,7 @@ from .spectrum import (
     spectral_rave,
     stream_from_eigenvalues,
 )
-from .summation import EPS, MAX_TERMS, CompensatedSum, block_sum
+from .summation import EPS, MAX_TERMS, CompensatedSum, block_sum, check_threads
 
 ORACLE_NODE_CAP = 256
 
@@ -110,11 +110,11 @@ def pairwise_reff(g: GraphFamily, u: int, v: int) -> float:
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"nodes ({u}, {v}) outside [0, {n})")
     order = np.append(np.delete(np.arange(n), (u, v)), (u, v))
-    lap = build_laplacian(g).matrix.take(order, 0).take(order, 1)
-    return 1.0 / GroundedSolver(DenseLaplacian(lap), ground=n - 1).last_pivot
+    lap = build_laplacian(g).take(order, 0).take(order, 1)
+    return 1.0 / GroundedSolver(lap, ground=n - 1).last_pivot
 
 
-def rave_definition_oracle(g: GraphFamily, node_cap: int = ORACLE_NODE_CAP) -> ResistanceResult:
+def rave_definition_oracle(g: GraphFamily) -> ResistanceResult:
     """Definition-based oracle: all-pairs effective resistances, averaged.
 
     The definition sums ordered pairs with a 1/(2 N^2) prefactor; the loop
@@ -123,8 +123,8 @@ def rave_definition_oracle(g: GraphFamily, node_cap: int = ORACLE_NODE_CAP) -> R
     its basis-injection potentials.
     """
     n = g.node_count()
-    if n > node_cap:
-        raise SizeExceeded(f"{n} nodes exceed the oracle cap {node_cap}")
+    if n > ORACLE_NODE_CAP:
+        raise SizeExceeded(f"{n} nodes exceed the oracle cap {ORACLE_NODE_CAP}")
     if n == 1:
         return ResistanceResult(0.0, "oracle_definition", 0, 0.0)
     lap = build_laplacian(g)
@@ -169,7 +169,11 @@ def rave_dense_spectral(g: GraphFamily) -> ResistanceResult:
 
 
 def rave(g: GraphFamily, threads: int = 1, max_terms: int = MAX_TERMS) -> ResistanceResult:
-    """Average resistance of any family, using the natural method for each."""
+    """Average resistance of any family, using the natural method for each.
+
+    threads is checked on every route, also where it is not used.
+    """
+    threads = check_threads(threads)
     if isinstance(g, Ring):
         return rave_ring_exact(g.m)
     if isinstance(g, Torus):

@@ -126,6 +126,14 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
+def check_threads(threads: object) -> int:
+    """``threads`` as an int >= 1, or InvalidFamily: the one rule for every route."""
+    threads = require_int(threads, "threads")
+    if threads < 1:
+        raise InvalidFamily(f"threads must be >= 1, got {threads}")
+    return threads
+
+
 def map_blocks(
     ranges: Sequence[tuple[int, int]],
     fn: Callable[[int, int], T],
@@ -137,9 +145,7 @@ def map_blocks(
     starts at most one worker per block and per CPU this process may run
     on, so a large thread count costs no extra OS threads.
     """
-    threads = require_int(threads, "threads")
-    if threads < 1:
-        raise InvalidFamily(f"threads must be >= 1, got {threads}")
+    threads = check_threads(threads)
     workers = min(threads, len(ranges))
     if workers > 1:
         workers = min(workers, default_threads())

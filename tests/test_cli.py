@@ -78,13 +78,18 @@ def test_threads_must_be_a_positive_integer(capsys, tmp_path, threads):
         assert "--threads" in capsys.readouterr().err
 
 
-def test_computation_errors_exit_3(capsys):
+def test_computation_errors_exit_3(capsys, tmp_path):
     code, out, err = run(capsys, "rave", "--torus", "2,2")
     assert code == 3
     assert out == ""
     assert "gridres:" in err
     code, _, err = run(capsys, "rave", "--graph", "/nonexistent/file.txt")
     assert code == 3
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3\n0 1.5\n")
+    code, out, err = run(capsys, "rave", "--graph", str(bad))
+    assert code == 3 and out == ""
+    assert f"{bad}:2: expected integers" in err
     code, _, err = run(capsys, "sweep", "--family", "ring", "--out", "/tmp/x.csv")
     assert code == 3  # missing --m
 

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -77,16 +80,16 @@ def test_explicit_normalizes_edges():
 
 
 def test_ring_edges():
-    assert sorted(family_edges(Ring(4))) == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert list(family_edges(Ring(1))) == []
+    assert sorted(family_edges(Ring(4)).tolist()) == [[0, 1], [0, 3], [1, 2], [2, 3]]
+    assert family_edges(Ring(1)).tolist() == []
     with pytest.raises(InvalidFamily):
-        list(family_edges(Ring(2)))
+        family_edges(Ring(2))
 
 
 def test_torus_edges_degree():
     g = Torus((3, 3))
     degree = {v: 0 for v in range(9)}
-    edges = list(family_edges(g))
+    edges = family_edges(g).tolist()
     assert len(edges) == len(set(tuple(sorted(e)) for e in edges)) == 18
     for u, v in edges:
         degree[u] += 1
@@ -95,9 +98,51 @@ def test_torus_edges_degree():
 
 
 def test_hypercube_edges_are_bit_flips():
-    edges = list(family_edges(Hypercube(3)))
+    edges = family_edges(Hypercube(3)).tolist()
     assert len(edges) == 12
     assert all(bin(u ^ v).count("1") == 1 for u, v in edges)
+
+
+def _pairs_by_rule(n: int, adjacent) -> list[list[int]]:
+    return [[u, v] for u in range(n) for v in range(u + 1, n) if adjacent(u, v)]
+
+
+def _rows_once(edges: np.ndarray) -> list[list[int]]:
+    rows = edges.tolist()
+    assert edges.dtype == np.intp and edges.shape == (len(rows), 2)
+    assert all(u < v for u, v in rows)
+    assert len(set(map(tuple, rows))) == len(rows)
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 5), (3, 7), (5,), (4, 4)])
+def test_torus_edges_match_coordinate_rule(dims):
+    # adjacent iff the coordinates differ by +-1 mod M_i in exactly one axis
+    coords = list(itertools.product(*(range(m) for m in dims)))  # row-major
+
+    def adjacent(u, v):
+        moved = [(s, m) for a, b, m in zip(coords[u], coords[v], dims) if (s := (b - a) % m)]
+        return len(moved) == 1 and moved[0][0] in (1, moved[0][1] - 1)
+
+    assert _rows_once(family_edges(Torus(dims))) == _pairs_by_rule(len(coords), adjacent)
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_hypercube_edges_match_hamming_distance(d):
+    expected = _pairs_by_rule(2**d, lambda u, v: bin(u ^ v).count("1") == 1)
+    assert _rows_once(family_edges(Hypercube(d))) == expected
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 9])
+def test_ring_edges_are_the_one_axis_torus(m):
+    assert family_edges(Ring(m)).tolist() == family_edges(Torus((m,))).tolist()
+    assert _rows_once(family_edges(Ring(m))) == _pairs_by_rule(m, lambda u, v: (v - u) % m in (1, m - 1))
+
+
+def test_edgeless_families_give_an_empty_array():
+    for g in (Ring(1), Hypercube(0), Explicit(2, [])):
+        edges = family_edges(g)
+        assert edges.shape == (0, 2) and edges.dtype == np.intp
 
 
 def test_read_edge_list(tmp_path):
@@ -117,3 +162,11 @@ def test_read_edge_list_errors(tmp_path):
     bad.write_text("3\n0 1 2\n")
     with pytest.raises(InvalidFamily):
         read_edge_list(bad)
+
+
+@pytest.mark.parametrize("text,lineno", [("3\n0 1.5\n", 2), ("three\n", 1), ("# n\n3\n0 1\nx 2\n", 4)])
+def test_read_edge_list_non_integer(tmp_path, text, lineno):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidFamily, match=re.escape(f"{path}:{lineno}: expected integers")):
+        read_edge_list(path)

@@ -132,7 +132,7 @@ def test_interior_sum_validation():
     with pytest.raises(ValueError):
         interior_sum(5, 0)
     with pytest.raises(SizeExceeded):
-        interior_sum(100, 4, max_terms=10**6)
+        interior_sum(102, 4)
 
 
 def test_interior_sum_below_integral():

@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridres import InvalidFamily, estimate_integral, rave_torus, summation
+from gridres import (
+    Explicit,
+    Hypercube,
+    InvalidFamily,
+    Ring,
+    Torus,
+    estimate_integral,
+    rave,
+    rave_torus,
+    summation,
+)
 from gridres.summation import (
     BASE_BLOCK,
     EPS,
@@ -107,12 +117,15 @@ def test_map_blocks_preserves_order():
     assert serial == threaded == [lo for lo, _ in ranges]
 
 
-@pytest.mark.parametrize("threads", ["2", 2.0, 0, -3])
+@pytest.mark.parametrize("threads", ["2", 2.0, 0, -3, -5])
 def test_threads_validated(threads):
+    # rave checks threads on every route, including those that never use it
+    families = (Ring(5), Torus((4, 4)), Hypercube(3), Explicit(3, [(0, 1), (1, 2)]))
     for call in (
         lambda: map_blocks(block_ranges(10), lambda lo, hi: lo, threads),
         lambda: rave_torus((4, 4), threads=threads),
         lambda: estimate_integral(3, budget=10**4, threads=threads),
+        *(lambda g=g: rave(g, threads=threads) for g in families),
     ):
         with pytest.raises(InvalidFamily, match="threads"):
             call()
