@@ -22,7 +22,6 @@ from .errors import (
     InsufficientBudget,
     InsufficientData,
     InvalidFamily,
-    NoConvergence,
     NonIntegralSides,
     Overflow,
     SingularPoint,
@@ -71,7 +70,6 @@ __all__ = [
     "InsufficientData",
     "IntegralEstimate",
     "InvalidFamily",
-    "NoConvergence",
     "NonIntegralSides",
     "Overflow",
     "ResistanceResult",

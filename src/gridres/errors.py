@@ -13,10 +13,6 @@ class SizeExceeded(GridResError):
     """Requested computation is above a configured size cap."""
 
 
-class NoConvergence(GridResError):
-    """The iterative eigensolver did not converge within the sweep cap."""
-
-
 class DisconnectedGraph(GridResError):
     """More than one null Laplacian mode was detected."""
 

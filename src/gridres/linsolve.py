@@ -21,6 +21,8 @@ class GroundedSolver:
     """Reusable factorization of a Laplacian with one grounded node."""
 
     def __init__(self, lap: np.ndarray, ground: int) -> None:
+        if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
+            raise ValueError("matrix must be square")
         n = lap.shape[0]
         ground = require_int(ground, "ground node")
         if not (0 <= ground < n):

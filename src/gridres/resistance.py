@@ -9,8 +9,9 @@ correctness argument.
 
 Explicit graphs have no closed-form spectrum. ``rave`` takes the Green
 trace route for them (one Cholesky factorization); ``rave_dense_spectral``
-runs the Jacobi eigensolver instead and exists so that the oracle
-cross-checks compare two routes that share no solver.
+runs the in-repo eigensolver (Householder tridiagonalisation and Sturm
+bisection) instead and exists so that the oracle cross-checks compare two
+routes that share no solver.
 """
 
 from __future__ import annotations
@@ -158,13 +159,14 @@ def _rave_green_trace(g: GraphFamily) -> ResistanceResult:
 
 
 def rave_dense_spectral(g: GraphFamily) -> ResistanceResult:
-    """Spectral average resistance from a Jacobi eigensolve of the Laplacian.
+    """Spectral average resistance from a dense eigensolve of the Laplacian.
 
-    Slow (each cyclic Jacobi sweep is n(n-1)/2 Python-level rotations), but
-    it shares no solver with the Cholesky-based oracle, so it is the
-    spectral side of the oracle cross-check for explicit graphs.
+    Householder tridiagonalisation and Sturm bisection
+    (``eigen.eigenvalues_symmetric``) share no solver with the Cholesky-based
+    oracle, so this is the spectral side of the oracle cross-check for
+    explicit graphs.
     """
-    eigs = eigenvalues_symmetric(build_laplacian(g), tol=1e-13)
+    eigs = eigenvalues_symmetric(build_laplacian(g))
     return spectral_rave(stream_from_eigenvalues(eigs))
 
 

@@ -45,9 +45,9 @@ class ResistanceResult:
     """A computed average-resistance value plus how it was obtained."""
 
     value: float
-    # closed_form | spectral (closed-form or Jacobi eigenvalues; a torus sums
-    # its longest side in closed form, but terms still counts N - 1 and the
-    # term cap still counts N) |
+    # closed_form | spectral (closed-form or dense-eigensolver eigenvalues; a
+    # torus sums its longest side in closed form, but terms still counts
+    # N - 1 and the term cap still counts N) |
     # green_trace (explicit graphs, Cholesky; err_bound covers the two final
     # sums only) | oracle_definition | recursion
     method: str

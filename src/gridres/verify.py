@@ -151,9 +151,10 @@ def oracle_suite(seed: int = 42, threads: int = 1) -> list[CheckResult]:
 
     The spectral side shares no solver with the oracle: tori and hypercubes
     sum their closed-form spectra through ``rave`` (a torus with its longest
-    side in closed form), and explicit graphs go
-    through the Jacobi eigensolver, because ``rave`` would reach them
-    through the same Cholesky factorization as the oracle.
+    side in closed form), and explicit graphs go through the dense
+    eigensolver (Householder tridiagonalisation and Sturm bisection),
+    because ``rave`` would reach them through the same Cholesky
+    factorization as the oracle.
     """
     results = []
     for family in small_family_set(seed):

@@ -60,6 +60,12 @@ def test_ground_node_validation():
     assert GroundedSolver(lap, np.int64(2)).ground == 2
 
 
+def test_matrix_must_be_square():
+    for bad in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="square"):
+            GroundedSolver(bad, 0)
+
+
 def test_last_pivot_is_the_kron_reduced_conductance():
     # Ground node 3 of a 4-ring: node 2, eliminated last, sees two paths of
     # one and three resistors in parallel, a conductance of 1 + 1/3.

@@ -279,7 +279,7 @@ def test_green_trace_matches_jacobi_and_oracle():
 
 def test_green_trace_never_calls_jacobi(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("rave of an explicit graph called the Jacobi eigensolver")
+        raise AssertionError("rave of an explicit graph called the dense eigensolver")
 
     monkeypatch.setattr(gridres.eigen, "eigenvalues_symmetric", forbidden)
     monkeypatch.setattr(gridres.resistance, "eigenvalues_symmetric", forbidden)

@@ -106,28 +106,26 @@ def test_eigenvalue_sum_is_twice_edge_count():
 @pytest.mark.parametrize("dims", [[3], [4], [12], [3, 3], [4, 5], [3, 3, 3], [12, 16]])
 def test_torus_spectrum_matches_dense_eigensolve(dims):
     stream = torus_spectrum(dims)
-    dense = eigenvalues_symmetric(build_laplacian(Torus(tuple(dims))), tol=1e-12)
+    dense = eigenvalues_symmetric(build_laplacian(Torus(tuple(dims))))
     assert np.max(np.abs(multiset(stream) - dense)) <= 1e-8
 
 
-@pytest.mark.slow
 def test_torus_spectrum_matches_dense_eigensolve_big():
     dims = [21, 24]
     stream = torus_spectrum(dims)
-    dense = eigenvalues_symmetric(build_laplacian(Torus(tuple(dims))), tol=1e-12)
+    dense = eigenvalues_symmetric(build_laplacian(Torus(tuple(dims))))
     assert np.max(np.abs(multiset(stream) - dense)) <= 1e-8
 
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_hypercube_spectrum_matches_dense_eigensolve(d):
-    dense = eigenvalues_symmetric(build_laplacian(Hypercube(d)), tol=1e-12)
+    dense = eigenvalues_symmetric(build_laplacian(Hypercube(d)))
     assert np.max(np.abs(multiset(hypercube_spectrum(d)) - dense)) <= 1e-8
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("d", [8, 10])
 def test_hypercube_spectrum_matches_dense_eigensolve_big(d):
-    dense = eigenvalues_symmetric(build_laplacian(Hypercube(d)), tol=1e-12)
+    dense = eigenvalues_symmetric(build_laplacian(Hypercube(d)))
     assert np.max(np.abs(multiset(hypercube_spectrum(d)) - dense)) <= 1e-8
 
 
