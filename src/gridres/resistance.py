@@ -24,7 +24,7 @@ from .eigen import eigenvalues_symmetric
 from .errors import InvalidFamily, SizeExceeded
 from .families import Explicit, GraphFamily, Hypercube, Ring, Torus, require_int
 from .laplacian import build_laplacian
-from .linsolve import GroundedSolver
+from .linsolve import GroundedSolver, last_pivot
 from .spectrum import (
     ResistanceResult,
     closed_axis_sum,
@@ -96,12 +96,13 @@ def pairwise_reff(g: GraphFamily, u: int, v: int) -> float:
     """Effective resistance between two nodes of a unit-resistor network.
 
     Grounds v and eliminates u last: the Laplacian is permuted so that u and
-    then v are its last two nodes, and the grounded system is factored once.
-    Eliminating every other node (Kron reduction) leaves one edge of
-    conductance 1/R_uv between u and the grounded v, and that conductance
-    is the last Cholesky pivot p, so R_uv = 1/p with no solve. Every node
-    is still eliminated, so a disconnected graph raises DisconnectedGraph
-    wherever the disconnection lies.
+    then v are its last two nodes, and the grounded system is factored once
+    by the left-looking Cholesky loop (``linsolve.last_pivot``; no inverse
+    factor is built). Eliminating every other node (Kron reduction) leaves
+    one edge of conductance 1/R_uv between u and the grounded v, and that
+    conductance is the last Cholesky pivot p, so R_uv = 1/p with no solve.
+    Every node is still eliminated, so a disconnected graph raises
+    DisconnectedGraph wherever the disconnection lies.
     """
     u = require_int(u, "node u")
     v = require_int(v, "node v")
@@ -112,7 +113,7 @@ def pairwise_reff(g: GraphFamily, u: int, v: int) -> float:
         raise ValueError(f"nodes ({u}, {v}) outside [0, {n})")
     order = np.append(np.delete(np.arange(n), (u, v)), (u, v))
     lap = build_laplacian(g).take(order, 0).take(order, 1)
-    return 1.0 / GroundedSolver(lap, ground=n - 1).last_pivot
+    return 1.0 / last_pivot(lap[:-1, :-1])
 
 
 def rave_definition_oracle(g: GraphFamily) -> ResistanceResult:
@@ -120,8 +121,8 @@ def rave_definition_oracle(g: GraphFamily) -> ResistanceResult:
 
     The definition sums ordered pairs with a 1/(2 N^2) prefactor; the loop
     below covers unordered pairs and doubles, which cancels the factor of
-    two exactly. Pair resistances come from one grounded factorization and
-    its basis-injection potentials.
+    two exactly. Pair resistances come from the grounded Green matrix,
+    built as Y^T Y from one inverse Cholesky factor Y.
     """
     n = g.node_count()
     if n > ORACLE_NODE_CAP:
@@ -144,17 +145,25 @@ def _rave_green_trace(g: GraphFamily) -> ResistanceResult:
     """Average resistance from the trace of the Laplacian pseudo-inverse.
 
     (1/N) sum 1/lambda over the nonzero eigenvalues is tr(L^+)/N, and with
-    the grounded Green matrix G, tr(L^+) = tr G - 1^T G 1 / N. Both sums are
-    compensated. err_bound covers the rounding of these two sums only, scaled
-    as the value is; the rounding of the Cholesky factorization and of the
-    solves that produce G is not in it.
+    the grounded Green matrix G, tr(L^+) = tr G - 1^T G 1 / N. G = Y^T Y for
+    the inverse Cholesky factor Y, so tr G = sum Y^2 and 1^T G 1 = |Y 1|^2,
+    and G is never formed. Both are compensated sums, over the m^2 squares
+    of Y and the m squared row sums of Y (m = N - 1). Y is entrywise >= 0,
+    so the row sums do not cancel: each is within (m - 1) eps/2 relative of
+    its exact value whatever the order of its additions. err_bound covers
+    the rounding of the two sums and of the row sums and their squares
+    (first order, m eps relative to the second sum's mass), scaled as the
+    value is; the rounding of the factorization that produces Y is not in
+    it.
     """
     n = g.node_count()
-    green = GroundedSolver(build_laplacian(g), ground=0).green_matrix()
-    trace = block_sum(np.diag(green))
-    total = block_sum(green)
+    y = GroundedSolver(build_laplacian(g), ground=0).inverse_factor
+    trace = block_sum(y * y)
+    rows = y.sum(axis=1)
+    total = block_sum(rows * rows)
     value = (trace.value - total.value / n) / n
-    err = (trace.err_bound + total.err_bound / n) / n
+    row_err = (n - 1) * EPS * total.abs_sum
+    err = (trace.err_bound + (total.err_bound + row_err) / n) / n
     return ResistanceResult(value, "green_trace", n - 1, err)
 
 

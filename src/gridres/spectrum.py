@@ -48,8 +48,9 @@ class ResistanceResult:
     # closed_form | spectral (closed-form or dense-eigensolver eigenvalues; a
     # torus sums its longest side in closed form, but terms still counts
     # N - 1 and the term cap still counts N) |
-    # green_trace (explicit graphs, Cholesky; err_bound covers the two final
-    # sums only) | oracle_definition | recursion
+    # green_trace (explicit graphs, inverse Cholesky factor; err_bound covers
+    # the two final sums and the factor's row sums, not the factorization) |
+    # oracle_definition | recursion
     method: str
     terms: int
     err_bound: float

@@ -88,27 +88,58 @@ def block_sum(values: np.ndarray) -> CompensatedSum:
     is exact, so only the plain additions of the compensation tree round,
     and they add at most about (log2 n)^2 eps^2 sum|x| to the eps/2 |sum|
     of the final rounding.
+
+    Working memory is one preallocated array of about 1.75 n values, updated
+    in place: n/2 for the sums and n/4 to ping-pong them with, n/2 for the
+    compensations and n/2 of scratch (the |x| pass uses its first n).
     """
     acc = CompensatedSum()
     s = np.ascontiguousarray(values, dtype=np.float64).ravel()
     n = s.size
     if n == 0:
         return acc
-    acc.abs_sum = float(np.abs(s).sum())
     acc.count = n
-    c = np.zeros(n)
-    while (m := s.size) > 1:
+    add, sub = np.add, np.subtract
+    h = n // 2
+    half = h + 1  # a level's length after the first fold
+    work = np.empty(2 * half + half // 2 + 1 + h)
+    acc.abs_sum = float(np.abs(s, work[:n]).sum())
+    sums, comp = work[:half], work[half : 2 * half]
+    spare, scratch = work[2 * half : len(work) - h], work[len(work) - h :]
+    # First level, TwoSum of a = s[:h] and b = s[h:2h] into t and e. Every
+    # compensation is still zero, and c = (0 + 0) + e is e: e is never -0.0,
+    # since a = b = -0.0 gives e = +0.0. b is the caller's, so b - bp goes
+    # to scratch.
+    a, b, t, e = s[:h], s[h : 2 * h], sums[:h], comp[:h]
+    add(a, b, t)
+    sub(t, a, e)  # bp
+    sub(b, e, scratch)  # b - bp
+    sub(t, e, e)
+    sub(a, e, e)  # a - (t - bp)
+    add(e, scratch, e)
+    if n % 2:
+        sums[h] = s[-1]
+        comp[h] = 0.0
+    m = h + n % 2
+    while m > 1:
+        # the same TwoSum with b - bp in b's place, then c = (c_a + c_b) + e
         h = m // 2
-        a, b = s[:h], s[h : 2 * h]
-        t = a + b
-        bp = t - a
-        e = (c[:h] + c[h : 2 * h]) + ((a - (t - bp)) + (b - bp))
+        a, b, t, e, c = sums[:h], sums[h : 2 * h], spare[:h], scratch[:h], comp[:h]
+        add(a, b, t)
+        sub(t, a, e)
+        sub(b, e, b)
+        sub(t, e, e)
+        sub(a, e, e)
+        add(e, b, e)
+        add(c, comp[h : 2 * h], c)
+        add(c, e, c)
         if m % 2:
-            t = np.append(t, s[-1])
-            e = np.append(e, c[-1])
-        s, c = t, e
-    acc._sum = float(s[0])
-    acc._comp = float(c[0])
+            spare[h] = sums[m - 1]
+            comp[h] = comp[m - 1]
+        sums, spare = spare, sums
+        m = h + m % 2
+    acc._sum = float(sums[0])
+    acc._comp = float(comp[0])
     return acc
 
 

@@ -11,9 +11,12 @@ from gridres import (
     Ring,
     SingularSystem,
     build_laplacian,
+    pairwise_reff,
+    rave,
+    rave_definition_oracle,
     solve_grounded,
 )
-from gridres.linsolve import _cholesky
+from gridres.linsolve import _cholesky, last_pivot
 from gridres.verify import random_connected_graph
 
 K3 = Explicit(3, [(0, 1), (1, 2), (0, 2)])
@@ -69,9 +72,13 @@ def test_matrix_must_be_square():
 def test_last_pivot_is_the_kron_reduced_conductance():
     # Ground node 3 of a 4-ring: node 2, eliminated last, sees two paths of
     # one and three resistors in parallel, a conductance of 1 + 1/3.
-    assert abs(GroundedSolver(build_laplacian(Ring(4)), 3).last_pivot - 4.0 / 3.0) <= 1e-15
+    assert abs(last_pivot(build_laplacian(Ring(4))[:-1, :-1]) - 4.0 / 3.0) <= 1e-15
     with pytest.raises(ValueError):
-        GroundedSolver(build_laplacian(Explicit(1, [])), 0).last_pivot
+        last_pivot(build_laplacian(Explicit(1, []))[:-1, :-1])
+    with pytest.raises(ValueError, match="square"):
+        last_pivot(np.zeros((2, 3)))
+    with pytest.raises(SingularSystem):
+        last_pivot(build_laplacian(Explicit(3, [(0, 1)]))[:-1, :-1])
 
 
 def test_green_matrix_matches_column_solves():
@@ -118,3 +125,73 @@ def test_cholesky_bit_identical_to_reference_loop(seed):
     g = random_connected_graph(rng, max_nodes=40)
     a = build_laplacian(g)[1:, 1:]
     assert np.array_equal(_cholesky(a), _cholesky_reference(a))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_inverse_factor_invariants(seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    g = random_connected_graph(rng, max_nodes=100)
+    lap = build_laplacian(g)
+    ground = int(rng.integers(0, g.n))
+    y = GroundedSolver(lap, ground).inverse_factor
+    a = np.delete(np.delete(lap, ground, 0), ground, 1)
+    m = g.n - 1
+    assert y.shape == (m, m)
+    assert np.array_equal(y, np.tril(y))
+    assert np.all(np.diag(y) > 0.0)
+    # a grounded Laplacian is an M-matrix: its inverse factor is >= 0
+    assert np.all(y >= 0.0)
+    assert np.max(np.abs(y @ a @ y.T - np.eye(m))) <= 1e-12
+    with pytest.raises(ValueError):
+        y[0, 0] = 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_green_matrix_inverts_the_grounded_system(seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    g = random_connected_graph(rng, max_nodes=100)
+    lap = build_laplacian(g)
+    ground = int(rng.integers(0, g.n))
+    green = GroundedSolver(lap, ground).green_matrix()
+    keep = np.arange(g.n) != ground
+    assert np.array_equal(green, green.T)
+    assert not green[ground].any()
+    assert np.max(np.abs(lap[keep] @ green[:, keep] - np.eye(g.n - 1))) <= 1e-12
+
+
+@pytest.mark.parametrize("isolated", [0, 2, 4])
+def test_isolated_node_is_disconnected(isolated):
+    # a path on the four other nodes, with the isolated node first, in the
+    # middle or last
+    others = [v for v in range(5) if v != isolated]
+    g = Explicit(5, list(zip(others, others[1:])))
+    b = np.zeros(5)
+    b[others[0]], b[others[-1]] = 1.0, -1.0
+    with pytest.raises(DisconnectedGraph):
+        rave(g)
+    with pytest.raises(DisconnectedGraph):
+        rave_definition_oracle(g)
+    for ground in range(5):
+        with pytest.raises(DisconnectedGraph):
+            solve_grounded(build_laplacian(g), b, ground)
+
+
+def test_dense_routes_call_no_np_linalg(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dense route called np.linalg")
+
+    for name in np.linalg.__all__:
+        attr = getattr(np.linalg, name)
+        if callable(attr) and not isinstance(attr, type):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    g = random_connected_graph(np.random.Generator(np.random.PCG64(11)), max_nodes=60)
+    lap = build_laplacian(g)
+    b = np.zeros(g.n)
+    b[0], b[-1] = 1.0, -1.0
+    assert rave(g).value > 0.0
+    assert rave_definition_oracle(g).value > 0.0
+    assert pairwise_reff(g, 0, g.n - 1) > 0.0
+    assert solve_grounded(lap, b, 1)[1] == 0.0
+    assert GroundedSolver(lap, 0).green_matrix().shape == (g.n, g.n)

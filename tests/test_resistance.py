@@ -182,11 +182,10 @@ def test_pairwise_two_nodes():
 
 def test_pairwise_reads_the_pivot_without_solving(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("pairwise_reff ran a solve or a triangular substitution")
+        raise AssertionError("pairwise_reff built a GroundedSolver or an inverse factor")
 
-    monkeypatch.setattr(gridres.linsolve.GroundedSolver, "solve", forbidden)
-    monkeypatch.setattr(gridres.linsolve, "_solve_lower", forbidden)
-    monkeypatch.setattr(gridres.linsolve, "_solve_upper", forbidden)
+    monkeypatch.setattr(gridres.linsolve.GroundedSolver, "__init__", forbidden)
+    monkeypatch.setattr(gridres.linsolve, "_inverse_factor", forbidden)
     assert abs(pairwise_reff(Ring(5), 0, 2) - 1.2) <= 1e-12
 
 
@@ -275,6 +274,20 @@ def test_green_trace_matches_jacobi_and_oracle():
         value = rave(g).value
         for reference in (rave_dense_spectral(g).value, rave_definition_oracle(g).value):
             assert abs(value - reference) <= 1e-10 * reference
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_green_trace_matches_dense_spectral(seed):
+    g = random_connected_graph(np.random.Generator(np.random.PCG64(seed)), max_nodes=100)
+    value = rave(g).value
+    reference = rave_dense_spectral(g).value
+    assert abs(value - reference) <= 1e-12 * reference
+
+
+def test_green_trace_smallest_graphs():
+    assert rave(Explicit(1, [])).value == 0.0
+    assert rave(Explicit(2, [(0, 1)])).value == 0.25
 
 
 def test_green_trace_never_calls_jacobi(monkeypatch):
