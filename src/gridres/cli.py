@@ -18,25 +18,16 @@ from pathlib import Path
 
 from .bounds import bounds_hypercube, bounds_torus2, bounds_torusd
 from .errors import GridResError, InsufficientData
-from .families import read_edge_list
+from .families import GraphFamily, Hypercube, Ring, Torus, read_edge_list
 from .resistance import (
     MAX_TERMS,
     hypercube_ad_direct,
     hypercube_ad_recursive,
     rave,
     rave_hypercube_binomial,
-    rave_ring_exact,
-    rave_torus,
 )
 from .summation import default_threads
-from .verify import (
-    all_suites,
-    bounds_suite,
-    integral_suite,
-    least_squares_slope,
-    oracle_suite,
-    recursion_suite,
-)
+from .verify import SUITES, criteria, least_squares_slope
 
 CSV_HEADER = ("family", "d", "dims", "N", "rave", "lower", "upper", "method")
 
@@ -72,15 +63,20 @@ class SweepRow:
 
     @classmethod
     def from_csv(cls, row: list[str]) -> "SweepRow":
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
         dims = tuple(int(m) for m in row[2].split("x")) if row[2] else ()
+        d, n = int(row[1]), int(row[3])
+        if len(dims) != d or math.prod(dims) != n:
+            raise ValueError(f"d={d}, dims={row[2]!r} and N={n} disagree")
         return cls(
             family=row[0],
-            d=int(row[1]),
+            d=d,
             dims=dims,
-            n=int(row[3]),
-            rave=float(row[4]),
-            lower=float(row[5]) if row[5] else None,
-            upper=float(row[6]) if row[6] else None,
+            n=n,
+            rave=_finite(row[4]),
+            lower=_finite(row[5]) if row[5] else None,
+            upper=_finite(row[6]) if row[6] else None,
             method=row[7],
         )
 
@@ -88,6 +84,13 @@ class SweepRow:
 def _fmt17(x: float) -> str:
     # 17 significant digits round-trip float64 exactly.
     return f"{x:.17g}"
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -117,17 +120,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     threads = default_threads()
+    compute = argparse.ArgumentParser(add_help=False)
+    compute.add_argument("--threads", type=_positive_int, default=threads)
+    compute.add_argument("--max-terms", type=_positive_int, default=MAX_TERMS)
 
-    p_rave = sub.add_parser("rave", help="compute one average-resistance value")
+    p_rave = sub.add_parser("rave", parents=[compute], help="compute one average-resistance value")
+    p_rave.set_defaults(handler=_cmd_rave)
     which = p_rave.add_mutually_exclusive_group(required=True)
     which.add_argument("--ring", type=int, metavar="M")
     which.add_argument("--torus", type=_int_list, metavar="M1,M2,...")
     which.add_argument("--hypercube", type=int, metavar="D")
     which.add_argument("--graph", metavar="FILE", help="edge-list file")
-    p_rave.add_argument("--threads", type=_positive_int, default=threads)
-    p_rave.add_argument("--max-terms", type=int, default=MAX_TERMS)
 
-    p_sweep = sub.add_parser("sweep", help="write a parameter sweep as CSV")
+    p_sweep = sub.add_parser("sweep", parents=[compute], help="write a parameter sweep as CSV")
+    p_sweep.set_defaults(handler=_cmd_sweep)
     p_sweep.add_argument(
         "--family",
         required=True,
@@ -136,24 +142,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m", type=_int_list, metavar="M,...", help="side lengths")
     p_sweep.add_argument("--d", type=_int_list, metavar="D,...", help="dimensions")
     p_sweep.add_argument("--out", required=True, metavar="FILE")
-    p_sweep.add_argument("--threads", type=_positive_int, default=threads)
-    p_sweep.add_argument("--max-terms", type=int, default=MAX_TERMS)
 
     p_verify = sub.add_parser("verify", help="run cross-validation suites")
-    p_verify.add_argument(
-        "--suite",
-        required=True,
-        choices=("oracle", "bounds", "recursion", "integral", "all"),
-    )
+    p_verify.set_defaults(handler=_cmd_verify)
+    p_verify.add_argument("--suite", required=True, choices=SUITES)
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--threads", type=_positive_int, default=threads)
     p_verify.add_argument("--budget", type=int, default=10**6)
 
     p_fit = sub.add_parser("fit", help="fit an asymptotic model to sweep rows")
+    p_fit.set_defaults(handler=_cmd_fit)
     p_fit.add_argument("--model", required=True, choices=tuple(FIT_TARGETS))
     p_fit.add_argument("--in", dest="infile", required=True, metavar="CSV")
 
     p_ad = sub.add_parser("hypercube-ad", help="growth-coefficient table")
+    p_ad.set_defaults(handler=_cmd_hypercube_ad)
     p_ad.add_argument("--dmax", type=int, required=True)
 
     return parser
@@ -162,15 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "rave":
-            return _cmd_rave(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        return _cmd_hypercube_ad(args)
+        return args.handler(args)
     except (GridResError, OSError, ValueError) as exc:
         print(f"gridres: {exc}", file=sys.stderr)
         return 3
@@ -182,75 +177,47 @@ def entry() -> None:
 
 def _cmd_rave(args: argparse.Namespace) -> int:
     if args.ring is not None:
-        result = rave_ring_exact(args.ring)
+        family: GraphFamily = Ring(args.ring)
     elif args.torus is not None:
-        result = rave_torus(args.torus, threads=args.threads, max_terms=args.max_terms)
+        family = Torus(tuple(args.torus))
     elif args.hypercube is not None:
-        result = rave_hypercube_binomial(args.hypercube)
+        family = Hypercube(args.hypercube)
     else:
-        result = rave(read_edge_list(args.graph), threads=args.threads)
+        family = read_edge_list(args.graph)
+    result = rave(family, threads=args.threads, max_terms=args.max_terms)
     print(f"{result.value:.15g} method={result.method} terms={result.terms}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rows = _sweep_rows(args.family, args.m, args.d, args.threads, args.max_terms)
-    _write_csv_atomic(Path(args.out), rows)
+    # Each sweep point is its CSV dims, its descriptor and its bound report.
+    if args.family == "ring":
+        points = [((m,), Ring(m), None) for m in _require(args.m, "--m")]
+    elif args.family == "hypercube":
+        points = [((2,) * d, Hypercube(d), bounds_hypercube(d)) for d in _require(args.d, "--d")]
+    elif args.family == "torusd":  # fixed side, dimension range
+        (m, *others), d_values = _require(args.m, "--m"), _require(args.d, "--d")
+        if others:
+            raise ValueError("torusd sweeps take exactly one --m value")
+        points = [((m,) * d, Torus((m,) * d), bounds_torusd(m, d)) for d in d_values]
+    else:
+        d = int(args.family[-1])
+        points = [((m,) * d, Torus((m,) * d), bounds_torus2(m, m) if d == 2 else bounds_torusd(m, d))
+                  for m in _require(args.m, "--m")]
+    rows = []
+    for dims, family, report in points:
+        result = rave(family, threads=args.threads, max_terms=args.max_terms)
+        lower, upper = (None, None) if report is None else (report.lower, report.upper)
+        rows.append(SweepRow(args.family, len(dims), dims, family.node_count(), result.value,
+                             lower, upper, result.method))
+    _write_csv_atomic(Path(args.out), sorted(rows, key=lambda row: row.n))
     return 0
 
 
-def _sweep_rows(
-    family: str,
-    m_values: list[int] | None,
-    d_values: list[int] | None,
-    threads: int,
-    max_terms: int,
-) -> list[SweepRow]:
-    rows: list[SweepRow] = []
-    if family == "ring":
-        _require(m_values, "--m")
-        for m in m_values:
-            res = rave_ring_exact(m)
-            rows.append(SweepRow("ring", 1, (m,), m, res.value, None, None, res.method))
-    elif family in ("torus2", "torus3", "torus4"):
-        _require(m_values, "--m")
-        d = int(family[-1])
-        for m in m_values:
-            dims = (m,) * d
-            res = rave_torus(dims, threads=threads, max_terms=max_terms)
-            report = bounds_torus2(m, m) if d == 2 else bounds_torusd(m, d)
-            rows.append(
-                SweepRow(family, d, dims, m**d, res.value, report.lower, report.upper, res.method)
-            )
-    elif family == "hypercube":
-        _require(d_values, "--d")
-        for d in d_values:
-            res = rave_hypercube_binomial(d)
-            report = bounds_hypercube(d)
-            rows.append(
-                SweepRow("hypercube", d, (2,) * d, 2**d, res.value, report.lower, report.upper, res.method)
-            )
-    else:  # torusd: fixed side, dimension range
-        _require(m_values, "--m")
-        _require(d_values, "--d")
-        if len(m_values) != 1:
-            raise ValueError("torusd sweeps take exactly one --m value")
-        m = m_values[0]
-        for d in sorted(d_values):
-            dims = (m,) * d
-            res = rave_torus(dims, threads=threads, max_terms=max_terms)
-            report = bounds_torusd(m, d)
-            rows.append(
-                SweepRow("torusd", d, dims, m**d, res.value, report.lower, report.upper, res.method)
-            )
-        return rows  # ordered by d
-    rows.sort(key=lambda r: r.n)
-    return rows
-
-
-def _require(values: list[int] | None, flag: str) -> None:
+def _require(values: list[int] | None, flag: str) -> list[int]:
     if not values:
         raise ValueError(f"this family needs {flag}")
+    return values
 
 
 def _write_csv_atomic(path: Path, rows: list[SweepRow]) -> None:
@@ -274,21 +241,18 @@ def _write_csv_atomic(path: Path, rows: list[SweepRow]) -> None:
 def read_sweep_csv(path: str | Path) -> list[SweepRow]:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
-        return [SweepRow.from_csv(row) for row in reader]
+            raise ValueError(f"{path}:1: expected the header {','.join(CSV_HEADER)}")
+        try:
+            return [SweepRow.from_csv(row) for row in reader]
+        except ValueError as exc:  # line_num is the line of the row that failed
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    suites = {
-        "oracle": lambda: oracle_suite(args.seed, args.threads),
-        "bounds": lambda: bounds_suite(args.threads),
-        "recursion": recursion_suite,
-        "integral": lambda: integral_suite(args.seed, args.threads, args.budget, args.budget),
-        "all": lambda: all_suites(args.seed, args.threads, args.budget, args.budget),
-    }
-    results = suites[args.suite]()
+    groups = criteria(args.seed, args.threads, args.budget, args.budget, args.suite)
+    results = [check for _, checks in groups for check in checks]
     for check in results:
         print(check.line())
     failed = sum(1 for check in results if not check.passed)
@@ -303,6 +267,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         raise InsufficientData(
             f"model {args.model} needs >= 4 rows of family {family!r}, found {len(rows)}"
         )
+    if any(row.d < 1 for row in rows):
+        raise ValueError(f"model {args.model} needs rows with d >= 1")
     if args.model == "linear":
         coeff = least_squares_slope([float(r.n) for r in rows], [r.rave for r in rows])
     elif args.model == "log2d":

@@ -1,13 +1,16 @@
 """Cross-validation suites: every invariant the package promises, runnable.
 
 This module is the one definition of the acceptance criteria c1-c10:
-every parameter set, tolerance and bound they use lives here. Each check
-returns a record; the CLI prints one PASS/FAIL line per record, and the
-acceptance test asserts on the same records, grouped by ``criteria``.
+every parameter set, tolerance and bound they use lives here, and so does
+which records make up each CLI suite. Each check returns a record;
+``criteria`` groups them by criterion, the CLI prints one PASS/FAIL line
+per record, and the acceptance test asserts on the same records.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -23,6 +26,7 @@ from .bounds import (
     scenario_bounds,
     torus2_lower_branches,
 )
+from .errors import InsufficientData
 from .families import Explicit, GraphFamily, Hypercube, Torus
 from .quadrature import IntegralEstimate, estimate_integral, interior_sum
 from .resistance import (
@@ -54,6 +58,7 @@ SLOPE_SIDES = (64, 128, 256, 512)
 TORUSD_CASES = tuple((m, d) for m in (4, 5, 8) for d in (3, 4, 5)) + ((4, 6),)
 CONJECTURE_CASES = tuple((m, d) for d in (5, 6, 7) for m in (3, 4))
 INTEGRAL_DIMS = (3, 4, 5, 8)
+SUITES = ("oracle", "bounds", "recursion", "integral", "all")
 
 Estimates = dict[tuple[int, str], IntegralEstimate]
 
@@ -79,6 +84,8 @@ def least_squares_slope(xs: list[float], ys: list[float]) -> float:
     mean_y = sum(ys) / n
     cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     var = sum((x - mean_x) ** 2 for x in xs)
+    if var == 0.0:
+        raise InsufficientData("a least-squares slope needs at least two distinct x values")
     return cov / var
 
 
@@ -266,29 +273,6 @@ def scenario_checks(threads: int = 1) -> list[CheckResult]:
     return results
 
 
-def bounds_suite(threads: int = 1) -> list[CheckResult]:
-    """Sandwich checks for every bound family, branch dominance, and the growth laws."""
-    return (
-        torus2_checks(threads) + log_slope_checks(threads) + torusd_checks(threads)
-        + conjecture_checks(threads) + hypercube_sandwich_checks() + scenario_checks(threads)
-    )
-
-
-def recursion_suite() -> list[CheckResult]:
-    """Hypercube closed forms against each other, the spectral sum, and the 1/d trend."""
-    return hypercube_checks()
-
-
-def integral_estimates(seed: int, threads: int, mc_budget: int, grid_budget: int) -> Estimates:
-    """Both continuum estimators in every checked dimension, keyed by (d, method)."""
-    budgets = {"riemann_refined": grid_budget, "monte_carlo": mc_budget}
-    return {
-        (d, method): estimate_integral(d, method=method, budget=budget, seed=seed, threads=threads)
-        for d in INTEGRAL_DIMS
-        for method, budget in budgets.items()
-    }
-
-
 def integral_band_checks(estimates: Estimates) -> list[CheckResult]:
     """c8: each estimate's whole error band lies inside the integral's bounds."""
     results = []
@@ -318,36 +302,40 @@ def riemann_checks(estimates: Estimates, threads: int = 1) -> list[CheckResult]:
     return results
 
 
-def integral_suite(
-    seed: int = 42, threads: int = 1, mc_budget: int = 10**6, grid_budget: int = 10**6
-) -> list[CheckResult]:
-    """Continuum-integral sandwich, Riemann domination, and convergence."""
-    estimates = integral_estimates(seed, threads, mc_budget, grid_budget)
-    return integral_band_checks(estimates) + riemann_checks(estimates, threads)
-
-
 def criteria(
-    seed: int, threads: int, mc_budget: int, grid_budget: int
+    seed: int, threads: int, mc_budget: int, grid_budget: int, suite: str = "all"
 ) -> Iterator[tuple[str, list[CheckResult]]]:
-    """Acceptance criteria c1..c10 as (key, records), each computed when the caller asks for it."""
-    yield "c1", ring_suite(threads) + closed_axis_checks(threads)
-    yield "c2", oracle_suite(seed, threads)
-    yield "c3", torus2_checks(threads)
-    yield "c4", log_slope_checks(threads)
-    yield "c5", torusd_checks(threads)
-    yield "c6", conjecture_checks(threads)
-    yield "c7", hypercube_sandwich_checks() + hypercube_checks(threads)
-    estimates = integral_estimates(seed, threads, mc_budget, grid_budget)
-    yield "c8", integral_band_checks(estimates)
-    yield "c9", riemann_checks(estimates, threads)
-    yield "c10", scenario_checks(threads)
+    """Acceptance criteria c1..c10 as (key, records), each computed when the caller asks for it.
 
-
-def all_suites(
-    seed: int = 42, threads: int = 1, mc_budget: int = 10**6, grid_budget: int = 10**6
-) -> list[CheckResult]:
-    """Every acceptance criterion at the given budgets."""
-    return [check for _, checks in criteria(seed, threads, mc_budget, grid_budget) for check in checks]
+    ``suite`` keeps only the records of that suite, in criteria order, and
+    computes nothing else. c1 belongs to "all" alone; c7's sandwich records
+    belong to "bounds" and its other records to "recursion".
+    """
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}, expected one of {', '.join(SUITES)}")
+    budgets = {"riemann_refined": grid_budget, "monte_carlo": mc_budget}
+    # Both continuum estimators in every checked dimension, keyed by (d, method); c8 and c9 share them.
+    estimates = functools.cache(lambda: {
+        (d, method): estimate_integral(d, method=method, budget=budget, seed=seed, threads=threads)
+        for d in INTEGRAL_DIMS
+        for method, budget in budgets.items()
+    })
+    parts = (
+        ("c1", "all", lambda: ring_suite(threads) + closed_axis_checks(threads)),
+        ("c2", "oracle", lambda: oracle_suite(seed, threads)),
+        ("c3", "bounds", lambda: torus2_checks(threads)),
+        ("c4", "bounds", lambda: log_slope_checks(threads)),
+        ("c5", "bounds", lambda: torusd_checks(threads)),
+        ("c6", "bounds", lambda: conjecture_checks(threads)),
+        ("c7", "bounds", hypercube_sandwich_checks),
+        ("c7", "recursion", lambda: hypercube_checks(threads)),
+        ("c8", "integral", lambda: integral_band_checks(estimates())),
+        ("c9", "integral", lambda: riemann_checks(estimates(), threads)),
+        ("c10", "bounds", lambda: scenario_checks(threads)),
+    )
+    chosen = (part for part in parts if suite in ("all", part[1]))
+    for key, group in itertools.groupby(chosen, key=lambda part: part[0]):
+        yield key, [check for _, _, checks in group for check in checks()]
 
 
 def _family_tag(family: GraphFamily) -> str:

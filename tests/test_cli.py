@@ -4,8 +4,9 @@ import os
 import pytest
 
 from gridres import verify
-from gridres.cli import build_parser, main, read_sweep_csv
-from gridres.resistance import rave_torus
+from gridres.bounds import bounds_hypercube, bounds_torus2, bounds_torusd
+from gridres.cli import SweepRow, build_parser, main, read_sweep_csv
+from gridres.resistance import rave_hypercube_binomial, rave_ring_exact, rave_torus
 
 
 def run(capsys, *argv):
@@ -65,17 +66,22 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("threads", ["0", "-3", "2.0", "x"])
-def test_threads_must_be_a_positive_integer(capsys, tmp_path, threads):
-    for argv in (
-        ["rave", "--ring", "3"],
-        ["sweep", "--family", "ring", "--m", "3", "--out", str(tmp_path / "rows.csv")],
-        ["verify", "--suite", "recursion"],
+@pytest.mark.parametrize("value", ["0", "-3", "2.0", "x"])
+def test_threads_must_be_a_positive_integer(capsys, tmp_path, value):
+    rave = ["rave", "--ring", "3"]
+    sweep = ["sweep", "--family", "ring", "--m", "3", "--out", str(tmp_path / "rows.csv")]
+    for argv, flag in (
+        (rave, "--threads"),
+        (sweep, "--threads"),
+        (["verify", "--suite", "recursion"], "--threads"),
+        (rave, "--max-terms"),
+        (sweep, "--max-terms"),
     ):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--threads", threads])
+            main([*argv, flag, value])
         assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
 
 
 def test_computation_errors_exit_3(capsys, tmp_path):
@@ -139,6 +145,39 @@ def test_sweep_hypercube(capsys, tmp_path):
         assert 0.5 <= row.rave * (row.d + 1) <= 2.0
 
 
+def expected_row(family, dims):
+    d = len(dims)
+    if family == "ring":
+        result, report = rave_ring_exact(dims[0]), None
+    elif family == "hypercube":
+        result, report = rave_hypercube_binomial(d), bounds_hypercube(d)
+    else:
+        result = rave_torus(dims)
+        report = bounds_torus2(*dims) if family == "torus2" else bounds_torusd(dims[0], d)
+    lower, upper = (None, None) if report is None else (report.lower, report.upper)
+    return SweepRow(family, d, dims, math.prod(dims), result.value, lower, upper, result.method)
+
+
+@pytest.mark.parametrize(
+    ("family", "argv", "dims"),
+    [
+        ("ring", ["--m", "8,4,100"], [(4,), (8,), (100,)]),
+        ("torus2", ["--m", "4,8,16,5"], [(4, 4), (5, 5), (8, 8), (16, 16)]),
+        ("torus3", ["--m", "3,4,5"], [(3,) * 3, (4,) * 3, (5,) * 3]),
+        ("torus4", ["--m", "3,4"], [(3,) * 4, (4,) * 4]),
+        ("hypercube", ["--d", "2,5,3,30"], [(2,) * 2, (2,) * 3, (2,) * 5, (2,) * 30]),
+        ("torusd", ["--m", "4", "--d", "5,3,4,8"], [(4,) * 3, (4,) * 4, (4,) * 5, (4,) * 8]),
+    ],
+)
+def test_sweep_rows_match_per_family_routes(capsys, tmp_path, family, argv, dims):
+    out_file = tmp_path / f"{family}.csv"
+    code, _, _ = run(capsys, "sweep", "--family", family, *argv, "--threads", "1", "--out", str(out_file))
+    assert code == 0
+    expected = [expected_row(family, point) for point in dims]
+    assert out_file.read_text().splitlines()[1:] == [",".join(row.to_csv()) for row in expected]
+    assert read_sweep_csv(out_file) == expected
+
+
 def test_fit_linear_ring(capsys, tmp_path):
     out_file = tmp_path / "ring.csv"
     run(capsys, "sweep", "--family", "ring", "--m", "100,200,400,800,1600,3200,6400",
@@ -169,6 +208,32 @@ def test_fit_inverse_d_torusd(capsys, tmp_path):
     assert float(fields["rel_deviation"]) <= 0.30
 
 
+HEADER = "family,d,dims,N,rave,lower,upper,method\n"
+
+
+@pytest.mark.parametrize(
+    ("model", "text", "error"),
+    [
+        ("linear", "", "{path}:1: expected the header"),
+        ("linear", HEADER + "ring,1,4,4,0.3125,,\n", "{path}:2: expected 8 fields"),
+        ("linear", HEADER + "ring,1,4,4,0.3125,,,closed_form\n" * 3 + "ring,1,8,8,nan,,,closed_form\n",
+         "{path}:5: expected a finite number"),
+        ("log2d", HEADER + "torus2,2,4x4,16,0.27,inf,,spectral\n", "{path}:2: expected a finite number"),
+        ("linear", HEADER + "ring,1,4,5,0.3125,,,closed_form\n", "{path}:2: d=1, dims='4' and N=5 disagree"),
+        ("inverse_d", HEADER + "torusd,0,,1,0.1,,,spectral\n" * 4, "model inverse_d needs rows with d >= 1"),
+        ("linear", HEADER + "ring,1,8,8,0.65625,,,closed_form\n" * 4,
+         "a least-squares slope needs at least two distinct x values"),
+    ],
+    ids=["empty", "short-row", "nan", "inf-bound", "dims-mismatch", "zero-d", "one-x-value"],
+)
+def test_fit_unusable_csv_exits_3(capsys, tmp_path, model, text, error):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "fit", "--model", model, "--in", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("gridres: " + error.format(path=path))
+
+
 def test_fit_insufficient_data(capsys, tmp_path):
     out_file = tmp_path / "short.csv"
     run(capsys, "sweep", "--family", "ring", "--m", "4,8", "--out", str(out_file))
@@ -193,6 +258,37 @@ def test_verify_bounds_suite_prints_growth_law_checks(capsys):
                    "scenario1-linear-growth:"):
         assert any(name.startswith(prefix) for name in names), prefix
     assert out.strip().splitlines()[-1] == f"PASS suite=bounds checks={len(names)} failures=0"
+
+
+def verify_lines(capsys, suite):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--threads", "1", "--budget", "65536")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == f"PASS suite={suite} checks={len(lines) - 1} failures=0"
+    return lines[:-1]
+
+
+def test_verify_suites_partition_all(capsys):
+    every = verify_lines(capsys, "all")
+    suites = {suite: verify_lines(capsys, suite) for suite in ("oracle", "bounds", "recursion", "integral")}
+    owner = {line: suite for suite, lines in suites.items() for line in lines}
+    assert len(owner) == sum(len(lines) for lines in suites.values())  # no record in two suites
+    c1, rest = every[:37], every[37:]
+    assert all(line.split()[1].startswith(("ring:", "closed-axis:")) for line in c1)
+    assert len(rest) == len(owner)
+    for suite, lines in suites.items():
+        assert [line for line in rest if owner.get(line) == suite] == lines
+    with pytest.raises(ValueError, match="unknown suite"):
+        next(verify.criteria(42, 1, 65536, 65536, "nope"))
+
+
+def test_verify_skipped_criteria_compute_nothing(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a skipped criterion was computed")
+
+    for name in ("oracle_suite", "estimate_integral", "ring_suite", "hypercube_checks"):
+        monkeypatch.setattr(verify, name, forbidden)
+    code, out, _ = run(capsys, "verify", "--suite", "bounds", "--threads", "1")
+    assert code == 0 and out.splitlines()[-1].startswith("PASS suite=bounds checks=87 ")
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
