@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -113,15 +114,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _AffinitySize(str):
+    """The --threads default: argparse passes a str default through ``type`` at parse time."""
+
+
+def _threads(text: str) -> int:
+    return default_threads() if isinstance(text, _AffinitySize) else _positive_int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridres",
         description="Average effective resistance of rings, toroidal grids and hypercubes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    threads = default_threads()
+    threads = _AffinitySize()
     compute = argparse.ArgumentParser(add_help=False)
-    compute.add_argument("--threads", type=_positive_int, default=threads)
+    compute.add_argument("--threads", type=_threads, default=threads)
     compute.add_argument("--max-terms", type=_positive_int, default=MAX_TERMS)
 
     p_rave = sub.add_parser("rave", parents=[compute], help="compute one average-resistance value")
@@ -147,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("--suite", required=True, choices=SUITES)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--threads", type=_positive_int, default=threads)
+    p_verify.add_argument("--threads", type=_threads, default=threads)
     p_verify.add_argument("--budget", type=int, default=10**6)
 
     p_fit = sub.add_parser("fit", help="fit an asymptotic model to sweep rows")
@@ -162,8 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call and reused: parsing leaves a parser as it was.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (GridResError, OSError, ValueError) as exc:

@@ -110,6 +110,17 @@ def estimate_integral(
 
     threads must be an integer >= 1; see summation.map_blocks.
     """
+    d, budget, seed = check_estimate(d, method, budget, seed)
+    if method == "monte_carlo":
+        return _monte_carlo(d, budget, seed, threads)
+    return _riemann_refined(d, budget, threads)
+
+
+def check_estimate(d: int, method: str, budget: int, seed: int) -> tuple[int, int, int]:
+    """Raise what estimate_integral would for these arguments, computing nothing.
+
+    Returns d, budget and seed as ints.
+    """
     d = require_int(d, "dimension")
     budget = require_int(budget, "budget")
     seed = require_int(seed, "seed")
@@ -119,11 +130,15 @@ def estimate_integral(
         raise DivergentIntegral(f"the integral diverges for d <= 2 (got d={d})")
     if budget < MIN_BUDGET:
         raise InsufficientBudget(f"budget {budget} below the minimum {MIN_BUDGET}")
-    if method == "monte_carlo":
-        return _monte_carlo(d, budget, seed, threads)
     if method == "riemann_refined":
-        return _riemann_refined(d, budget, threads)
-    raise ValueError(f"unknown method {method!r}")
+        grid = _largest_grid(d, budget)
+        if grid < 4:
+            raise InsufficientBudget(
+                f"budget {budget} allows only a {grid}^{d} midpoint grid; need >= 4 points per side"
+            )
+    elif method != "monte_carlo":
+        raise ValueError(f"unknown method {method!r}")
+    return d, budget, seed
 
 
 def _monte_carlo(d: int, budget: int, seed: int, threads: int) -> IntegralEstimate:
@@ -160,10 +175,6 @@ def _monte_carlo(d: int, budget: int, seed: int, threads: int) -> IntegralEstima
 
 def _riemann_refined(d: int, budget: int, threads: int) -> IntegralEstimate:
     grid = _largest_grid(d, budget)
-    if grid < 4:
-        raise InsufficientBudget(
-            f"budget {budget} allows only a {grid}^{d} midpoint grid; need >= 4 points per side"
-        )
     coarse = max(2, grid // 2)
     fine_value = _midpoint_mean(d, grid, threads)
     coarse_value = _midpoint_mean(d, coarse, threads)

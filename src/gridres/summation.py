@@ -2,8 +2,9 @@
 
 Every large reduction in the package is organized around a fixed partition
 of the index space into base blocks of BASE_BLOCK items. Within a block,
-block_sum adds the values in a pairwise tree of error-free TwoSum steps
-whose shape depends only on the block's length. Across blocks, the block
+block_sum splits each value by error-free extraction into a high part,
+whose sum is exact in any order, and a low part, summed plainly; both
+steps are fixed numpy passes over the block. Across blocks, the block
 partials are folded in block order. Workers may process blocks in any
 order or in parallel, but neither the block contents nor either order
 depends on the worker count, so results are bit-identical for any level
@@ -12,6 +13,7 @@ of parallelism.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
@@ -77,69 +79,63 @@ class CompensatedSum:
 def block_sum(values: np.ndarray) -> CompensatedSum:
     """Compensated sum of one base block's values (any shape, read row-major).
 
-    One pairwise tree: each level adds the first half of the array to the
-    second half elementwise with TwoSum, which yields each rounded sum t
-    and its exact rounding error e; a level of odd length carries its last
-    element up unchanged. Compensations ride the same tree as
-    c = (c_a + c_b) + e. The tree's shape depends on the length alone, so
-    the result is a pure function of the value array.
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008). Take n values,
+    u = eps/2 and sigma = 2^k = 2^M 2^e with 2^M >= n + 2 and 2^e >= max|x|.
+    Then q = (sigma + x) - sigma and r = x - q are exact, x = q + r, every q
+    is a multiple of u sigma and |r| <= u sigma. Every partial sum of the q
+    is a multiple of u sigma below sigma in magnitude, hence a float: their
+    sum tau is exact in any order. The accumulator stores tau and the plain
+    sum c of the r, and its value is tau + c. Each step is one numpy pass in
+    an order fixed by the array alone, so the result is a pure function of
+    the array, and the number of numpy calls does not depend on n.
 
-    The returned err_bound, 2 eps sum|x|, still holds: every TwoSum error
-    is exact, so only the plain additions of the compensation tree round,
-    and they add at most about (log2 n)^2 eps^2 sum|x| to the eps/2 |sum|
-    of the final rounding.
+    Bound: |c - sum r| <= gamma_(n-1) sum|r| <= gamma_(n-1) n u sigma, so
+    |value - sum x| <= u |sum x| + (1 + u) gamma_(n-1) n u sigma
+    <= u |sum x| + n^2 u^2 sigma (for n^2 u < 1). Since sigma <= 4 (n + 1)
+    max|x|, for n <= BASE_BLOCK the last term is at most about u max|x| / 8,
+    well inside err_bound = 2 eps sum|x| = 4 u sum|x|. A longer array is
+    summed one base block at a time and folded in block order, as
+    reduce_blocks does, which keeps the bound.
 
-    Working memory is one preallocated array of about 1.75 n values, updated
-    in place: n/2 for the sums and n/4 to ping-pong them with, n/2 for the
-    compensations and n/2 of scratch (the |x| pass uses its first n).
+    Where 2^k would overflow, the parts are taken of x 2^(1023 - k) and
+    scaled back. That scaling is exact except for parts below 2^-1074, far
+    inside the last term. inf and NaN give the plain IEEE sum. Working
+    memory is one array of n values, two where 2^k would overflow.
     """
-    acc = CompensatedSum()
     s = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if s.size <= BASE_BLOCK:
+        return _extract_sum(s)
+    acc = CompensatedSum()
+    for lo, hi in block_ranges(s.size):
+        acc.combine(_extract_sum(s[lo:hi]))
+    return acc
+
+
+def _extract_sum(s: np.ndarray) -> CompensatedSum:
+    """block_sum of one flat float64 block of at most BASE_BLOCK values."""
+    acc = CompensatedSum()
     n = s.size
     if n == 0:
         return acc
     acc.count = n
-    add, sub = np.add, np.subtract
-    h = n // 2
-    half = h + 1  # a level's length after the first fold
-    work = np.empty(2 * half + half // 2 + 1 + h)
-    acc.abs_sum = float(np.abs(s, work[:n]).sum())
-    sums, comp = work[:half], work[half : 2 * half]
-    spare, scratch = work[2 * half : len(work) - h], work[len(work) - h :]
-    # First level, TwoSum of a = s[:h] and b = s[h:2h] into t and e. Every
-    # compensation is still zero, and c = (0 + 0) + e is e: e is never -0.0,
-    # since a = b = -0.0 gives e = +0.0. b is the caller's, so b - bp goes
-    # to scratch.
-    a, b, t, e = s[:h], s[h : 2 * h], sums[:h], comp[:h]
-    add(a, b, t)
-    sub(t, a, e)  # bp
-    sub(b, e, scratch)  # b - bp
-    sub(t, e, e)
-    sub(a, e, e)  # a - (t - bp)
-    add(e, scratch, e)
-    if n % 2:
-        sums[h] = s[-1]
-        comp[h] = 0.0
-    m = h + n % 2
-    while m > 1:
-        # the same TwoSum with b - bp in b's place, then c = (c_a + c_b) + e
-        h = m // 2
-        a, b, t, e, c = sums[:h], sums[h : 2 * h], spare[:h], scratch[:h], comp[:h]
-        add(a, b, t)
-        sub(t, a, e)
-        sub(b, e, b)
-        sub(t, e, e)
-        sub(a, e, e)
-        add(e, b, e)
-        add(c, comp[h : 2 * h], c)
-        add(c, e, c)
-        if m % 2:
-            spare[h] = sums[m - 1]
-            comp[h] = comp[m - 1]
-        sums, spare = spare, sums
-        m = h + m % 2
-    acc._sum = float(sums[0])
-    acc._comp = float(comp[0])
+    work = np.abs(s)
+    acc.abs_sum = float(work.sum())
+    biggest = float(work.max())
+    if not math.isfinite(biggest):
+        acc._sum = float(s.sum())
+        return acc
+    k = (n + 1).bit_length() + math.frexp(biggest)[1]
+    shift = max(k - 1023, 0)
+    if shift:
+        s = s * 2.0**-shift
+    scale = 2.0**shift
+    sigma = math.ldexp(1.0, k - shift)
+    np.add(s, sigma, work)
+    np.subtract(work, sigma, work)  # q
+    acc._sum = float(work.sum()) * scale
+    np.subtract(s, work, work)  # r
+    acc._comp = float(work.sum()) * scale
     return acc
 
 

@@ -28,7 +28,7 @@ from .bounds import (
 )
 from .errors import InsufficientData
 from .families import Explicit, GraphFamily, Hypercube, Torus
-from .quadrature import IntegralEstimate, estimate_integral, interior_sum
+from .quadrature import IntegralEstimate, check_estimate, estimate_integral, interior_sum
 from .resistance import (
     hypercube_ad_direct,
     hypercube_ad_recursive,
@@ -309,16 +309,18 @@ def criteria(
 
     ``suite`` keeps only the records of that suite, in criteria order, and
     computes nothing else. c1 belongs to "all" alone; c7's sandwich records
-    belong to "bounds" and its other records to "recursion".
+    belong to "bounds" and its other records to "recursion". An unknown
+    suite, and an estimator argument that c8 and c9 would refuse, raise
+    here, before any criterion runs.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {', '.join(SUITES)}")
-    budgets = {"riemann_refined": grid_budget, "monte_carlo": mc_budget}
     # Both continuum estimators in every checked dimension, keyed by (d, method); c8 and c9 share them.
+    budgets = {"riemann_refined": grid_budget, "monte_carlo": mc_budget}
+    cases = [(d, method, budget) for d in INTEGRAL_DIMS for method, budget in budgets.items()]
     estimates = functools.cache(lambda: {
         (d, method): estimate_integral(d, method=method, budget=budget, seed=seed, threads=threads)
-        for d in INTEGRAL_DIMS
-        for method, budget in budgets.items()
+        for d, method, budget in cases
     })
     parts = (
         ("c1", "all", lambda: ring_suite(threads) + closed_axis_checks(threads)),
@@ -333,9 +335,14 @@ def criteria(
         ("c9", "integral", lambda: riemann_checks(estimates(), threads)),
         ("c10", "bounds", lambda: scenario_checks(threads)),
     )
-    chosen = (part for part in parts if suite in ("all", part[1]))
-    for key, group in itertools.groupby(chosen, key=lambda part: part[0]):
-        yield key, [check for _, _, checks in group for check in checks()]
+    chosen = [part for part in parts if suite in ("all", part[1])]
+    if any(key in ("c8", "c9") for key, _, _ in chosen):
+        for d, method, budget in cases:
+            check_estimate(d, method, budget, seed)
+    return (
+        (key, [check for _, _, checks in group for check in checks()])
+        for key, group in itertools.groupby(chosen, key=lambda part: part[0])
+    )
 
 
 def _family_tag(family: GraphFamily) -> str:

@@ -291,6 +291,19 @@ def test_verify_skipped_criteria_compute_nothing(capsys, monkeypatch):
     assert code == 0 and out.splitlines()[-1].startswith("PASS suite=bounds checks=87 ")
 
 
+def test_verify_checks_budgets_before_any_criterion(capsys, monkeypatch):
+    # --budget 65535 leaves a 3^8 midpoint grid at d = 8, which c8 refuses.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a criterion ran before the budget check")
+
+    for name in ("ring_suite", "estimate_integral"):
+        monkeypatch.setattr(verify, name, forbidden)
+    for suite in ("all", "integral"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--budget", "65535")
+        assert code == 3 and out == ""
+        assert err == "gridres: budget 65535 allows only a 3^8 midpoint grid; need >= 4 points per side\n"
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     failing = verify.CheckResult("conjecture-scale:M=3,d=5", False, 2.0, 1.5)
     monkeypatch.setattr(verify, "conjecture_checks", lambda threads=1: [failing])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +42,8 @@ def test_scalar_add_matches_fsum():
 
 def test_block_sum_beats_naive_on_cancellation():
     # Large equal-magnitude pairs around tiny terms defeat naive np.sum
-    # ordering but not the TwoSum tree, whose rounding errors are kept.
+    # ordering but not error-free extraction: the pair's high parts cancel
+    # exactly, and its low parts join the small terms in the plain sum.
     rng = np.random.Generator(np.random.PCG64(0))
     small = rng.random(4096) * 1e-9
     values = np.concatenate([[1e15], small, [-1e15]])
@@ -88,63 +90,86 @@ def test_block_sum_count_and_abs_sum():
         assert acc.err_bound == 2.0 * EPS * acc.abs_sum
 
 
-def _tree_reference(values):
-    """The TwoSum tree as one expression per level with np.append carries.
-
-    This is block_sum before it worked in place, kept verbatim as the
-    reference for bit-identity.
-    """
-    s = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    n = s.size
-    if n == 0:
-        return 0.0, 0.0, 0.0, 0
-    abs_sum = float(np.abs(s).sum())
-    c = np.zeros(n)
-    while (m := s.size) > 1:
-        h = m // 2
-        a, b = s[:h], s[h : 2 * h]
-        t = a + b
-        bp = t - a
-        e = (c[:h] + c[h : 2 * h]) + ((a - (t - bp)) + (b - bp))
-        if m % 2:
-            t = np.append(t, s[-1])
-            e = np.append(e, c[-1])
-        s, c = t, e
-    return float(s[0]), float(c[0]), abs_sum, n
-
-
-def _bits(state):
-    return [float(x).hex() for x in state]  # tells -0.0 from +0.0
-
-
-TREE_LENGTHS = sorted(
+LENGTHS = sorted(
     set(range(1, 130))
     | {2**k + d for k in range(7, 18) for d in (-1, 0, 1)}
     | {3 * 4097, 65535 + 2 * 4097, 2**17 - 3}
 )
 
 
-def test_block_sum_bit_identical_to_reference_tree():
+def _exact_sum(values):
+    """The rational sum of float64 values, in integer multiples of 2^-1074."""
+    total = 0
+    for num, den in map(float.as_integer_ratio, values.tolist()):
+        total += (num << 1074) // den  # den is a power of two <= 2^1074
+    return Fraction(total, 1 << 1074)
+
+
+def _check_exact(values):
+    """block_sum(values) against the exact rational sum, with no warning raised.
+
+    Every length is within err_bound. One base block is also within the
+    bound the block_sum docstring derives, u |sum x| + n^2 u^2 sigma with
+    u = eps/2 and sigma = 2^k, 2^k >= (n + 2) max|x| as block_sum takes it;
+    a longer array is the ordered fold of its base blocks' sums.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        acc = block_sum(values)
+    n = values.size
+    exact = _exact_sum(values)
+    err = abs(Fraction(acc.value) - exact)
+    assert err <= Fraction(acc.err_bound), n
+    if n <= BASE_BLOCK:
+        u = Fraction(EPS) / 2
+        k = (n + 1).bit_length() + math.frexp(float(np.abs(values).max()))[1]
+        assert err <= u * abs(exact) + n * n * u * u * Fraction(2) ** k, n
+    else:
+        fold = CompensatedSum()
+        for lo, hi in block_ranges(n):
+            fold.combine(block_sum(values[lo:hi]))
+        assert _state(acc) == _state(fold), n
+
+
+def test_block_sum_exact_rational_bounds():
     rng = np.random.Generator(np.random.PCG64(12))
-    for n in TREE_LENGTHS:
+    for n in LENGTHS:
         values = _wide_values(n, seed=n)
         # signed zeros, exact ties and cancelling neighbours
         values[rng.integers(0, n, n // 7 + 1)] = -0.0
         values[rng.integers(0, n, n // 7 + 1)] = 1.0
         values[rng.integers(0, n, n // 7 + 1)] = -1.0
-        assert _bits(_state(block_sum(values))) == _bits(_tree_reference(values)), n
+        _check_exact(values)
     for n in (1, 2, 3, 64, 65, 4097):
         for fill in (-0.0, 0.0, 1e300, -5e-324):
-            values = np.full(n, fill)
-            assert _bits(_state(block_sum(values))) == _bits(_tree_reference(values)), (n, fill)
+            _check_exact(np.full(n, fill))
+        # max|x| near the top of the range, where 2^k would overflow, with
+        # sum|x| still finite: one value at -1.7e308, or a cancelling 8.9e307 pair
+        values = _wide_values(n, seed=n) * 1e290
+        values[n // 2] = -1.7e308
+        _check_exact(values)
+        if n >= 2:
+            values = _wide_values(n, seed=n) * 1e290
+            values[0], values[-1] = 8.9e307, -8.9e307
+            _check_exact(values)
+        # subnormal and smallest normal magnitudes
+        _check_exact(_wide_values(n, seed=n) * 1e-310)
+
+
+def test_block_sum_propagates_inf_and_nan():
+    assert block_sum(np.array([np.inf, 1.0, -2.0])).value == np.inf
+    assert block_sum(np.array([1.0, -np.inf])).value == -np.inf
+    assert math.isnan(block_sum(np.array([1.0, np.nan, 2.0])).value)
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(block_sum(np.array([np.inf, 3.0, -np.inf])).value)
+    acc = block_sum(np.array([np.inf, 1.0]))
+    assert acc.abs_sum == acc.err_bound == np.inf
 
 
 def test_block_sum_peak_memory():
-    # The reference tree held a zero-filled compensation array, the |x|
-    # temporary, each level's t, bp and e and the np.append copies: 1.75 MiB
-    # of traced peak for 65,536 values (0.5 MiB). The in-place tree holds
-    # one workspace of about 1.75 n values: 0.88 MiB. 1.25 MiB separates the
-    # two with room for one more half-length array.
+    # A TwoSum tree with fresh arrays per level held 1.75 MiB of traced peak
+    # for 65,536 values (0.5 MiB), and one in place 0.88 MiB. Error-free
+    # extraction works in one array of n values: 0.5 MiB.
     values = _wide_values(BASE_BLOCK, seed=5)
     block_sum(values)
     tracemalloc.start()
