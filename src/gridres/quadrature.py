@@ -7,11 +7,12 @@ integrand's origin singularity is integrable there and the integral
 diverges for d = 2).
 
 The lattice sums are the torus spectral sum in table form, through
-``spectrum.closed_axis_sum``, which sums one axis in closed form: the
-midpoint rule sums 1 / sum_i t[h_i] over a grid^d midpoint lattice, whose
-points can never hit the singular lattice images of the origin, and
-``interior_sum`` sums the same over the cycle lattice without the zero
-entries. A budget counts lattice points, not the grid^(d-1) rows summed.
+``spectrum.closed_axis_sum``, which sums one axis in closed form and the
+others over their mirror and permutation classes: the midpoint rule sums
+1 / sum_i t[h_i] over a grid^d midpoint lattice, whose points can never
+hit the singular lattice images of the origin, and ``interior_sum`` sums
+the same over the cycle lattice without the zero entries. A budget counts
+lattice points, not the C(ceil(grid/2) + d - 2, d - 1) folded rows summed.
 Seeded Monte Carlo draws a fixed per-block sample stream, so no result
 depends on the worker count.
 """

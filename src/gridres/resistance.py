@@ -51,9 +51,11 @@ def rave_torus(
 ) -> ResistanceResult:
     """Spectral average resistance of a toroidal grid.
 
-    Sums (1/N) sum 1/lambda with the longest side in closed form, N / M_max
-    rows (``closed_axis_sum``). ``terms`` and the ``max_terms`` cap still
-    count the N - 1 eigenvalues and the N nodes. The enumerated sum over all
+    Sums (1/N) sum 1/lambda with the longest side in closed form over one
+    weighted row per mirror and permutation class of the other sides'
+    indices (``closed_axis_sum``): C(floor(M/2) + d - 1, d - 1) rows for an
+    equal-sided torus of side M, not M^(d-1). ``terms`` and the
+    ``max_terms`` cap still count the N - 1 eigenvalues and the N nodes. The enumerated sum over all
     N eigenvalues, ``spectral_rave(torus_spectrum(dims))``, is the
     independent check.
     """

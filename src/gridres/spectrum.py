@@ -10,18 +10,21 @@ eigensolve has one axis of sorted eigenvalues. The first
 fixed-size flat-index blocks, so no stream materializes O(N) storage.
 ``table_sums`` is the one decode of flat indices.
 
-``closed_axis_sum`` is the fast route for torus lattices: it enumerates
-every axis but the longest and sums that one in closed form, so a lattice
-of N points costs N / M_max rows. ``rave_torus`` and the continuum sums in
-``quadrature`` use it; ``spectral_rave(torus_spectrum(dims))`` enumerates
-all N terms and stays as the independent check.
+``closed_axis_sum`` is the fast route for torus lattices: it sums the
+longest side in closed form and folds the other sides by symmetry, one
+weighted row per class of index vectors under mirroring each side and
+permuting equal sides (``folded_rows``). An equal-sided lattice of side M
+in d dimensions then costs C(floor(M/2) + d - 1, d - 1) rows instead of
+M^(d-1). ``rave_torus`` and the continuum sums in ``quadrature`` use it;
+``spectral_rave(torus_spectrum(dims))`` enumerates all N terms and stays
+as the independent check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -34,9 +37,12 @@ from .summation import EPS, block_ranges, reduce_blocks
 # Largest dimension whose binomial multiplicities all stay in the exact
 # 64-bit integer range.
 MAX_EXACT_HYPERCUBE = 63
-# Rounding of one closed-form row of ``closed_axis_sum`` (two square roots,
-# arcsinh, tanh and four products or quotients), in units of EPS relative
-# to the row: a first-order count gives 5, the rest is margin.
+# Rounding of one weighted row of ``closed_axis_sum`` (two square roots,
+# arcsinh, tanh and four products or quotients, then the product with the
+# row's weight), in units of EPS relative to the weighted row: a
+# first-order count gives 5 for the row and 1 for the weight, the rest is
+# margin. Interior rows triple the row's part; the weight multiplies after
+# that cancellation, so 3 x 5 + 1 stays inside 3 x ROW_EVAL_EPS.
 ROW_EVAL_EPS = 8.0
 
 
@@ -46,8 +52,8 @@ class ResistanceResult:
 
     value: float
     # closed_form | spectral (closed-form or dense-eigensolver eigenvalues; a
-    # torus sums its longest side in closed form, but terms still counts
-    # N - 1 and the term cap still counts N) |
+    # torus sums its longest side in closed form over the folded rows of the
+    # others, but terms still counts N - 1 and the term cap still counts N) |
     # green_trace (explicit graphs, inverse Cholesky factor; err_bound covers
     # the two final sums and the factor's row sums, not the factorization) |
     # oracle_definition | recursion
@@ -61,11 +67,27 @@ def side_contribution_table(m: int, midpoint: bool = False) -> np.ndarray:
 
     Cycle points x_k = k/m give the cycle eigenvalues 2 - 2 cos(2 pi k/m);
     midpoints x_k = (k + 1/2)/m give the continuum grid's cell midpoints,
-    which never hit the lattice images of the origin. sin is evaluated on
-    the reduced rational argument, which keeps full relative accuracy for
-    small angles, and only on the lower half: the upper half mirrors it
-    bit-exactly, t[k] == t[m - k] for cycles and t[k] == t[m - 1 - k] for
-    midpoints.
+    which never hit the lattice images of the origin. The lower half is
+    ``half_table``; the upper half mirrors it bit-exactly, t[k] == t[m - k]
+    for cycles and t[k] == t[m - 1 - k] for midpoints.
+    """
+    lower, _ = half_table(m, midpoint)
+    shift = int(midpoint)
+    table = np.empty(m)
+    table[: lower.size] = lower
+    table[lower.size :] = lower[1 - shift : m + 1 - shift - lower.size][::-1]
+    return table
+
+
+def half_table(m: int, midpoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of ``side_contribution_table(m, midpoint)`` and their multiplicities.
+
+    Returns t[k] for k up to the mirror point, k <= m/2 at cycle points and
+    k <= (m - 1)/2 at midpoints, and how often each occurs in the full
+    table: twice, except the entries that are their own mirror image, k = 0
+    and k = m/2 (m even) at cycle points and k = (m - 1)/2 (m odd) at
+    midpoints. sin is evaluated on the reduced rational argument, which
+    keeps full relative accuracy for small angles.
     """
     shift = int(midpoint)
     lower = (m + 2 - shift) // 2
@@ -73,10 +95,12 @@ def side_contribution_table(m: int, midpoint: bool = False) -> np.ndarray:
     if midpoint:
         k += 0.5
     s = np.sin(np.pi * (k / m))
-    table = np.empty(m)
-    table[:lower] = 4.0 * s * s
-    table[lower:] = table[1 - shift : m + 1 - shift - lower][::-1]
-    return table
+    mult = np.full(lower, 2.0)
+    if not midpoint:
+        mult[0] = 1.0
+    if (m + shift) % 2 == 0:
+        mult[-1] = 1.0
+    return 4.0 * s * s, mult
 
 
 def table_sums(tables: Sequence[np.ndarray], lo: int, hi: int) -> np.ndarray:
@@ -199,6 +223,69 @@ def spectral_rave(stream: SpectrumStream, threads: int = 1) -> ResistanceResult:
     return ResistanceResult(acc.value / n, "spectral", n - 1, acc.err_bound / n)
 
 
+def folded_rows(
+    sides: Sequence[int], midpoint: bool = False, interior: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct row values a = sum_i t_i[h_i] over a lattice, and their weights.
+
+    t_i is ``side_contribution_table(sides[i], midpoint)``, without its
+    k = 0 entry when ``interior``. Mirroring an axis and permuting equal
+    sides leave a unchanged, so each row stands for one class of index
+    vectors h. Every side keeps its ``half_table``, and a group of g equal
+    sides is enumerated as non-decreasing index g-tuples: a tuple's weight
+    is the multinomial g! / prod c_k! of its index counts c_k times the
+    product of the entries' multiplicities. Groups of different sides
+    combine as an outer product, in increasing side order. The weights sum
+    to the number of index vectors; a group of g sides with c distinct
+    entries gives C(c + g - 1, g) rows. The all-zero index vector comes
+    first. No sides give the one row a = 0.
+
+    A weight is built by at most one product and one quotient of integers
+    per side and one product per further group; products by a
+    multiplicity, a power of two, are exact. Every intermediate integer is
+    at most len(sides) times the sum of the weights, so the weights are
+    exact while that stays below 2^53. Above it, each weight carries fewer
+    than 2 len(sides) roundings of eps/2.
+    """
+    start = int(interior)
+    groups = []
+    for side, group in groupby(sorted(sides)):
+        values, mult = half_table(side, midpoint)
+        groups.append(_multisets(values[start:], mult[start:], len(list(group))))
+    a, weight = groups[0] if groups else (np.zeros(1), np.ones(1))
+    for group_a, group_weight in groups[1:]:
+        a = np.add.outer(a, group_a).ravel()
+        weight = np.multiply.outer(weight, group_weight).ravel()
+    return a, weight
+
+
+def _multisets(values: np.ndarray, mult: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums and weights of the non-decreasing index g-tuples over one half table.
+
+    Tuples grow one axis at a time in lexicographic order: a tuple ending in
+    index l has children l .. c-1, and only the first child repeats l.
+    ``run`` counts the trailing equal indices, so the multinomial
+    j! / prod c_k! of a j-tuple is its parent's times j / run, and the
+    weight takes the new index's multiplicity as well.
+    """
+    a, weight = values, mult
+    if g == 1:
+        return a, weight
+    last = np.arange(values.size)
+    run = np.ones_like(last)
+    for j in range(2, g + 1):
+        counts = values.size - last
+        parent = np.repeat(np.arange(last.size), counts)
+        first = np.cumsum(counts) - counts
+        last = np.arange(parent.size) - np.repeat(first - last, counts)
+        parent_run = run
+        run = np.ones_like(last)
+        run[first] += parent_run
+        a = a[parent] + values[last]
+        weight = weight[parent] * j / run * mult[last]
+    return a, weight
+
+
 def closed_axis_sum(
     dims: Sequence[int],
     midpoint: bool = False,
@@ -210,10 +297,13 @@ def closed_axis_sum(
     t_i is ``side_contribution_table(dims[i], midpoint)``. On cycle tables
     the null mode h = 0 is left out, and ``interior`` keeps only the h whose
     components are all nonzero. Returns (value, err_bound); the bound covers
-    the summation and the evaluation of every row.
+    the summation and the evaluation and weighting of every row.
 
-    The other axes decode into rows a = sum of their table entries through
-    ``table_sums``. With a = 4 sinh^2(theta / 2), r = sqrt(a (a + 4)) and M
+    The other sides fold into ``folded_rows``: one row per class of index
+    vectors under mirroring and permuting equal sides, with its weight, so
+    an equal-sided lattice of side M in d dimensions costs
+    C(floor(M/2) + d - 1, d - 1) rows (cycle points) instead of M^(d-1).
+    With a row's value a = 4 sinh^2(theta / 2), r = sqrt(a (a + 4)) and M
     the longest side, a row sums over that side in closed form:
     sum_k 1 / (a + t[k]) is M / (r tanh(M theta / 2)) at cycle points and
     M tanh(M theta / 2) / r at midpoints. An interior row drops its k = 0
@@ -222,30 +312,36 @@ def closed_axis_sum(
     at cycle points and M^2/4 at midpoints. All rows are positive. Taking
     the longest side keeps M theta / 2 above 2.3 for cycle rows, where tanh
     is near 1 and well conditioned, and keeps 1/a below the interior row,
-    so cancelling 1/a costs at most a factor 3 in the row's rounding. Rows
-    reduce over the fixed block partition, so the value is bit-identical
-    for any thread count.
+    so cancelling 1/a costs at most a factor 3 in the row's rounding. The
+    weighted rows reduce over the fixed block partition, so the value is
+    bit-identical for any thread count.
     """
-    axis = max(range(len(dims)), key=lambda i: dims[i])
-    m = dims[axis]
-    others = [
-        side_contribution_table(side, midpoint)[int(interior):]
-        for i, side in enumerate(dims)
-        if i != axis
-    ]
-    zero_row = not others or not (midpoint or interior)
+    sides = sorted(dims)
+    m = sides.pop()
+    a, weight = folded_rows(sides, midpoint, interior)
+    zero_row = not sides or not (midpoint or interior)
+    if zero_row:
+        a, weight = a[1:], weight[1:]
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        a = table_sums(others, max(lo, int(zero_row)), hi)
-        r = np.sqrt(a * (a + 4.0))
-        half = np.tanh(m * np.arcsinh(0.5 * np.sqrt(a)))  # tanh(M theta / 2)
+        b = a[lo:hi]
+        r = np.sqrt(b * (b + 4.0))
+        half = np.tanh(m * np.arcsinh(0.5 * np.sqrt(b)))  # tanh(M theta / 2)
         if midpoint:
-            return m * half / r
-        row = m / (r * half)
-        return row - 1.0 / a if interior else row
+            row = m * half / r
+        else:
+            row = m / (r * half)
+            if interior:
+                row -= 1.0 / b
+        return weight[lo:hi] * row
 
-    acc = reduce_blocks(math.prod(t.size for t in others), rows, threads)
+    acc = reduce_blocks(a.size, rows, threads)
     if zero_row:
         acc.add(m * m / 4.0 if midpoint else (m * m - 1) / 12.0)
-    eval_eps = ROW_EVAL_EPS * (3.0 if interior else 1.0)
+    # a adds len(sides) positive entries, and a row passes the relative
+    # rounding of a on unamplified. Weights round only above 2^53 (see
+    # folded_rows), by fewer than 2 len(sides) units of eps/2.
+    eval_eps = ROW_EVAL_EPS * (3.0 if interior else 1.0) + 0.5 * len(sides)
+    if len(sides) * math.prod(sides) > 2**53:
+        eval_eps += len(sides)
     return acc.value, acc.err_bound + eval_eps * EPS * acc.abs_sum

@@ -53,7 +53,7 @@ LINEAR_GROWTH_BAND = (0.9, 1.1)
 
 TORUS2_LATTICE = (4, 5, 8, 16, 32, 64, 128)
 TORUS2_PAIRS = tuple((m1, m2) for i, m1 in enumerate(TORUS2_LATTICE) for m2 in TORUS2_LATTICE[i:])
-CLOSED_AXIS_CASES = TORUS2_PAIRS + ((3, 4, 5), (8,) * 3, (6,) * 4, (4,) * 6)
+CLOSED_AXIS_CASES = TORUS2_PAIRS + ((3, 4, 5), (8,) * 3, (6,) * 4, (4,) * 6, (5, 6, 6, 8), (3, 3, 7, 7, 9))
 SLOPE_SIDES = (64, 128, 256, 512)
 TORUSD_CASES = tuple((m, d) for m in (4, 5, 8) for d in (3, 4, 5)) + ((4, 6),)
 CONJECTURE_CASES = tuple((m, d) for d in (5, 6, 7) for m in (3, 4))

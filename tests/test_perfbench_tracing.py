@@ -49,8 +49,11 @@ def test_trace_counts_block_sum_work():
         "gridres.estimate_integral(3, budget=10**4)"
     )
     assert layers["summation.block_sum.calls"] == 4
-    assert layers["summation.block_sum.values"] == 20016
-    assert layers["quadrature.interior_sum.terms"] == 9
+    # folded rows: 8 x 8 sums the other side's half-table indices 1..4 (index
+    # 0 is the null mode), interior 4^3 the 3 multisets of {1, 2} over its two
+    # other sides (t[3] = t[1]); Monte Carlo sums 10^4 values and their squares
+    assert layers["summation.block_sum.values"] == 4 + 3 + 2 * 10**4
+    assert layers["quadrature.interior_sum.terms"] == 3
 
 
 def test_trace_counts_dense_solver_calls():

@@ -94,7 +94,8 @@ def test_rave_torus_closed_axis_matches_enumeration(dims):
 
 
 def test_rave_torus_thread_invariance_multi_block():
-    # 4^10 nodes: 4^9 = 262,144 rows over the closed axis, four base blocks
+    # 4^10 nodes: 55 folded rows over the closed axis, one base block;
+    # test_spectrum covers a folded sum over several blocks
     values = [rave_torus((4,) * 10, threads=t) for t in (1, 2, 8)]
     assert values[0] == values[1] == values[2]
 

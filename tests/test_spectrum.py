@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +18,13 @@ from gridres import (
     stream_from_eigenvalues,
     torus_spectrum,
 )
-from gridres.spectrum import side_contribution_table, table_sums
+from gridres.spectrum import (
+    closed_axis_sum,
+    folded_rows,
+    half_table,
+    side_contribution_table,
+    table_sums,
+)
 
 
 def multiset(stream):
@@ -213,3 +221,76 @@ def test_streams_count_flat_indices():
         assert stream.count == n
         assert len(list(stream.pairs())) == flat
         assert spectral_rave(stream).terms == n - 1
+
+
+FOLDED_TORI = [(5, 6, 6, 8), (3, 3, 7, 7, 9), (7,) * 5, (4, 4, 9)]
+LATTICES = [
+    pytest.param({}, id="cycle"),
+    pytest.param({"midpoint": True}, id="midpoint"),
+    pytest.param({"interior": True}, id="interior"),
+]
+
+
+def _plain_lattice_sum(dims, midpoint=False, interior=False):
+    tables = [side_contribution_table(m, midpoint)[int(interior):] for m in dims]
+    terms = []
+    for entries in itertools.product(*tables):
+        total = math.fsum(entries)
+        if total:
+            terms.append(1.0 / total)
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("dims", FOLDED_TORI)
+@pytest.mark.parametrize("kind", LATTICES)
+def test_closed_axis_sum_matches_plain_enumeration(dims, kind):
+    value, err = closed_axis_sum(dims, **kind)
+    assert abs(value - _plain_lattice_sum(dims, **kind)) <= err
+
+
+@pytest.mark.parametrize("dims", FOLDED_TORI)
+@pytest.mark.parametrize("kind", LATTICES)
+def test_folded_weights_count_every_index_vector(dims, kind):
+    sides = sorted(dims)[:-1]
+    weights = folded_rows(sides, **kind)[1].tolist()
+    assert all(w.is_integer() for w in weights)
+    shrink = int(kind.get("interior", False))
+    assert sum(int(w) for w in weights) == math.prod(m - shrink for m in sides)
+
+
+def test_half_table_multiplicities():
+    for midpoint in (False, True):
+        for m in (1, 2, 3, 4, 5, 12, 101):
+            values, mult = half_table(m, midpoint)
+            table = side_contribution_table(m, midpoint)
+            assert values.tolist() == table[: values.size].tolist()
+            assert mult.tolist() == [table.tolist().count(v) for v in values.tolist()]
+
+
+@pytest.mark.parametrize(("dims", "rows"), [((6,) * 8, 120), ((4,) * 10, 55), ((16,) * 5, 495), ((128,) * 3, 2145)])
+def test_folded_row_counts(dims, rows):
+    m, d = dims[0], len(dims)
+    assert rows == math.comb(m // 2 + d - 1, d - 1)
+    assert folded_rows(dims[1:])[0].size == rows
+
+
+def test_closed_axis_sum_thread_invariance_multi_block():
+    # 245,157 folded rows of 32^8, four base blocks
+    assert folded_rows((32,) * 7)[0].size == 245157
+    values = [closed_axis_sum((32,) * 8, threads=t) for t in (1, 2, 3)]
+    assert values[0] == values[1] == values[2]
+
+
+def test_closed_axis_sum_rounded_weights_inside_bound():
+    # 4^40: the weights sum to 4^39 > 2^53, so some round. Reference: the
+    # multisets of the half table {0, 1, 2} (index 1 twice) with exact
+    # integer weights, each row summed over the longest side in rationals.
+    t = side_contribution_table(4)
+    reference = Fraction(0)
+    for combo in itertools.combinations_with_replacement(range(3), 39):
+        counts = [combo.count(i) for i in range(3)]
+        weight = math.factorial(39) // math.prod(math.factorial(c) for c in counts) * 2 ** counts[1]
+        a = Fraction(math.fsum(t[i] for i in combo))
+        reference += weight * sum(1 / (a + Fraction(tk)) for tk in t if a + Fraction(tk))
+    value, err = closed_axis_sum((4,) * 40)
+    assert abs(Fraction(value) - reference) <= Fraction(err)
