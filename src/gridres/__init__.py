@@ -30,7 +30,7 @@ from .errors import (
 )
 from .families import Explicit, GraphFamily, Hypercube, Ring, Torus, read_edge_list
 from .laplacian import DENSE_LIMIT, build_laplacian
-from .linsolve import GroundedSolver, solve_grounded
+from .linsolve import GroundedSolver
 from .quadrature import IntegralEstimate, estimate_integral, integrand_f, interior_sum
 from .resistance import (
     ResistanceResult,
@@ -102,7 +102,6 @@ __all__ = [
     "rave_torus",
     "read_edge_list",
     "scenario_bounds",
-    "solve_grounded",
     "spectral_rave",
     "stream_from_eigenvalues",
     "torus_spectrum",

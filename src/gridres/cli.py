@@ -130,7 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     threads = _AffinitySize()
     compute = argparse.ArgumentParser(add_help=False)
-    compute.add_argument("--threads", type=_threads, default=threads)
+    compute.add_argument(
+        "--threads", type=_threads, default=threads,
+        help="integer >= 1, checked but unused: no value here uses worker threads "
+        "(default: CPUs this process may run on)",
+    )
     compute.add_argument("--max-terms", type=_positive_int, default=MAX_TERMS)
 
     p_rave = sub.add_parser("rave", parents=[compute], help="compute one average-resistance value")
@@ -156,7 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("--suite", required=True, choices=SUITES)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--threads", type=_threads, default=threads)
+    p_verify.add_argument(
+        "--threads", type=_threads, default=threads,
+        help="worker threads for the Monte Carlo estimates of the integral criteria; "
+        "every other check is a serial sum (integer >= 1, default: CPUs this process may run on)",
+    )
     p_verify.add_argument("--budget", type=int, default=10**6)
 
     p_fit = sub.add_parser("fit", help="fit an asymptotic model to sweep rows")

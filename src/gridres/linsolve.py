@@ -57,7 +57,12 @@ class GroundedSolver:
         return self._inv
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Potential vector W with W[ground] = 0 and L W = b off the ground row."""
+        """Potential vector W with W[ground] = 0 and L W = b off the ground row.
+
+        b need not sum to zero: the ground row is dropped, so whatever b
+        lacks is extracted at the ground node, as in the columns of
+        green_matrix.
+        """
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.n,):
             raise ValueError(f"b must have shape ({self.n},)")
@@ -84,24 +89,6 @@ class GroundedSolver:
         g = np.zeros((self.n, self.n))
         g[np.ix_(self._keep, self._keep)] = inner
         return g
-
-
-def solve_grounded(lap: np.ndarray, b: np.ndarray, ground: int) -> np.ndarray:
-    """One-shot grounded solve that first checks the injection is balanced.
-
-    This is the entry for a caller-supplied current injection b: it raises
-    ValueError unless b sums to zero, then solves with a fresh
-    GroundedSolver. GroundedSolver.solve does not check this on purpose: it
-    drops the ground row, so whatever b lacks is extracted at the ground
-    node, and the columns of green_matrix are exactly such injections (a
-    unit current at u, extracted at the ground). Raises SingularSystem when
-    the graph is disconnected.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    scale = float(np.abs(b).sum())
-    if abs(float(b.sum())) > 1e-9 * max(scale, 1.0):
-        raise ValueError("current injection b must sum to zero")
-    return GroundedSolver(lap, ground).solve(b)
 
 
 def last_pivot(matrix: np.ndarray) -> float:

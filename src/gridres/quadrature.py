@@ -13,7 +13,8 @@ others over their mirror and permutation classes: the midpoint rule sums
 hit the singular lattice images of the origin, and ``interior_sum`` sums
 the same over the cycle lattice without the zero entries. A budget counts
 lattice points, not the C(ceil(grid/2) + d - 2, d - 1) folded rows summed.
-Seeded Monte Carlo draws a fixed per-block sample stream, so no result
+Those sums run serially. Seeded Monte Carlo is the one estimator that uses
+worker threads; it draws a fixed per-block sample stream, so no result
 depends on the worker count.
 """
 
@@ -41,6 +42,7 @@ from .summation import (
     CompensatedSum,
     block_ranges,
     block_sum,
+    check_threads,
     map_blocks,
 )
 
@@ -109,12 +111,15 @@ def estimate_integral(
     fitting the budget, with the half-resolution grid supplying a
     deterministic err.
 
-    threads must be an integer >= 1; see summation.map_blocks.
+    threads must be an integer >= 1 (InvalidFamily otherwise) for either
+    method. Only monte_carlo uses it, as the worker count of
+    summation.map_blocks; the midpoint sums run serially.
     """
     d, budget, seed = check_estimate(d, method, budget, seed)
+    threads = check_threads(threads)
     if method == "monte_carlo":
         return _monte_carlo(d, budget, seed, threads)
-    return _riemann_refined(d, budget, threads)
+    return _riemann_refined(d, budget)
 
 
 def check_estimate(d: int, method: str, budget: int, seed: int) -> tuple[int, int, int]:
@@ -174,11 +179,11 @@ def _monte_carlo(d: int, budget: int, seed: int, threads: int) -> IntegralEstima
     )
 
 
-def _riemann_refined(d: int, budget: int, threads: int) -> IntegralEstimate:
+def _riemann_refined(d: int, budget: int) -> IntegralEstimate:
     grid = _largest_grid(d, budget)
     coarse = max(2, grid // 2)
-    fine_value = _midpoint_mean(d, grid, threads)
-    coarse_value = _midpoint_mean(d, coarse, threads)
+    fine_value = _midpoint_mean(d, grid)
+    coarse_value = _midpoint_mean(d, coarse)
     err = max(abs(fine_value - coarse_value), 4.0 * EPS * abs(fine_value))
     return IntegralEstimate(
         d, fine_value, err, "riemann_refined", {"grid": grid, "coarse_grid": coarse}
@@ -194,8 +199,8 @@ def _largest_grid(d: int, budget: int) -> int:
     return grid
 
 
-def _midpoint_mean(d: int, grid: int, threads: int) -> float:
-    value, _ = closed_axis_sum((grid,) * d, midpoint=True, threads=threads)
+def _midpoint_mean(d: int, grid: int) -> float:
+    value, _ = closed_axis_sum((grid,) * d, midpoint=True)
     return value / grid**d
 
 
@@ -204,7 +209,9 @@ def interior_sum(m: int, dims: int, threads: int = 1) -> float:
 
     Returns (1/M^dims) * sum 1/lambda_h over h in [1, M-1]^dims. Each cell
     of this sum sits under the integrand's graph, so the value is a lower
-    Riemann sum of the continuum integral in the same dimension.
+    Riemann sum of the continuum integral in the same dimension. threads
+    must be an integer >= 1 (InvalidFamily otherwise); the sum runs
+    serially and does not use it.
     """
     m = require_int(m, "side length")
     dims = require_int(dims, "dimension")
@@ -215,5 +222,6 @@ def interior_sum(m: int, dims: int, threads: int = 1) -> float:
     total = (m - 1) ** dims
     if total > MAX_TERMS:
         raise SizeExceeded(f"{total} interior terms exceed the cap {MAX_TERMS}")
-    value, _ = closed_axis_sum((m,) * dims, interior=True, threads=threads)
+    check_threads(threads)
+    value, _ = closed_axis_sum((m,) * dims, interior=True)
     return value / float(m) ** dims

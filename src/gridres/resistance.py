@@ -57,13 +57,15 @@ def rave_torus(
     equal-sided torus of side M, not M^(d-1). ``terms`` and the
     ``max_terms`` cap still count the N - 1 eigenvalues and the N nodes. The enumerated sum over all
     N eigenvalues, ``spectral_rave(torus_spectrum(dims))``, is the
-    independent check.
+    independent check. threads must be an integer >= 1 (InvalidFamily
+    otherwise); the sum runs serially and does not use it.
     """
     dims = Torus(tuple(dims)).dims
     n = math.prod(dims)
     if n > max_terms:
         raise SizeExceeded(f"{n} spectral terms exceed the cap {max_terms}")
-    value, err = closed_axis_sum(dims, threads=threads)
+    check_threads(threads)
+    value, err = closed_axis_sum(dims)
     return ResistanceResult(value / n, "spectral", n - 1, err / n)
 
 
@@ -184,13 +186,13 @@ def rave_dense_spectral(g: GraphFamily) -> ResistanceResult:
 def rave(g: GraphFamily, threads: int = 1, max_terms: int = MAX_TERMS) -> ResistanceResult:
     """Average resistance of any family, using the natural method for each.
 
-    threads is checked on every route, also where it is not used.
+    threads is checked on every route, although none uses it.
     """
-    threads = check_threads(threads)
+    check_threads(threads)
     if isinstance(g, Ring):
         return rave_ring_exact(g.m)
     if isinstance(g, Torus):
-        return rave_torus(g.dims, threads=threads, max_terms=max_terms)
+        return rave_torus(g.dims, max_terms=max_terms)
     if isinstance(g, Hypercube):
         return rave_hypercube_binomial(g.d)
     if isinstance(g, Explicit):

@@ -206,20 +206,19 @@ def stream_from_eigenvalues(eigenvalues: np.ndarray) -> SpectrumStream:
     return SpectrumStream([values], null_mode_count(values))
 
 
-def spectral_rave(stream: SpectrumStream, threads: int = 1) -> ResistanceResult:
+def spectral_rave(stream: SpectrumStream) -> ResistanceResult:
     """Average effective resistance from a spectrum: (1/N) sum mult/lambda.
 
-    Uses compensated summation over the stream's fixed block partition;
-    partials merge in block order, so the value is bit-identical for any
-    worker count. ``terms`` counts the nonzero eigenvalues with
-    multiplicity, N - 1.
+    Uses compensated summation over the stream's fixed block partition,
+    folded serially in block order. ``terms`` counts the nonzero
+    eigenvalues with multiplicity, N - 1.
     """
     if stream.zero_multiplicity != 1:
         raise DisconnectedSpectrum(
             f"{stream.zero_multiplicity} zero eigenvalues in the stream; expected 1"
         )
     n = stream.count
-    acc = reduce_blocks(stream.term_count(), stream.inverse_terms, threads)
+    acc = reduce_blocks(stream.term_count(), stream.inverse_terms)
     return ResistanceResult(acc.value / n, "spectral", n - 1, acc.err_bound / n)
 
 
@@ -287,10 +286,7 @@ def _multisets(values: np.ndarray, mult: np.ndarray, g: int) -> tuple[np.ndarray
 
 
 def closed_axis_sum(
-    dims: Sequence[int],
-    midpoint: bool = False,
-    interior: bool = False,
-    threads: int = 1,
+    dims: Sequence[int], midpoint: bool = False, interior: bool = False
 ) -> tuple[float, float]:
     """Sum of 1 / sum_i t_i[h_i] over a torus lattice, its longest side in closed form.
 
@@ -313,8 +309,8 @@ def closed_axis_sum(
     the longest side keeps M theta / 2 above 2.3 for cycle rows, where tanh
     is near 1 and well conditioned, and keeps 1/a below the interior row,
     so cancelling 1/a costs at most a factor 3 in the row's rounding. The
-    weighted rows reduce over the fixed block partition, so the value is
-    bit-identical for any thread count.
+    weighted rows reduce serially over the fixed block partition
+    (``reduce_blocks``).
     """
     sides = sorted(dims)
     m = sides.pop()
@@ -335,7 +331,7 @@ def closed_axis_sum(
                 row -= 1.0 / b
         return weight[lo:hi] * row
 
-    acc = reduce_blocks(a.size, rows, threads)
+    acc = reduce_blocks(a.size, rows)
     if zero_row:
         acc.add(m * m / 4.0 if midpoint else (m * m - 1) / 12.0)
     # a adds len(sides) positive entries, and a row passes the relative

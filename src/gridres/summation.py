@@ -5,10 +5,15 @@ of the index space into base blocks of BASE_BLOCK items. Within a block,
 block_sum splits each value by error-free extraction into a high part,
 whose sum is exact in any order, and a low part, summed plainly; both
 steps are fixed numpy passes over the block. Across blocks, the block
-partials are folded in block order. Workers may process blocks in any
-order or in parallel, but neither the block contents nor either order
-depends on the worker count, so results are bit-identical for any level
-of parallelism.
+partials are folded in block order.
+
+reduce_blocks folds the blocks of a lattice sum serially: a folded torus
+sum fits in one or a few blocks, where a thread pool costs more than it
+saves. map_blocks runs a block function on a thread pool, results in block
+order; seeded Monte Carlo is its one caller. Neither the block contents
+nor the fold order depends on the worker count, so every result is
+bit-identical for any thread count. Every public entry point that takes
+``threads`` checks it with check_threads, also where it is not used.
 """
 
 from __future__ import annotations
@@ -182,14 +187,9 @@ def map_blocks(
         return list(pool.map(lambda r: fn(r[0], r[1]), ranges))
 
 
-def reduce_blocks(
-    total: int,
-    term_fn: Callable[[int, int], np.ndarray],
-    threads: int = 1,
-) -> CompensatedSum:
-    """Sum term_fn(lo, hi) arrays over the fixed partition of [0, total)."""
-    partials = map_blocks(block_ranges(total), lambda lo, hi: block_sum(term_fn(lo, hi)), threads)
+def reduce_blocks(total: int, term_fn: Callable[[int, int], np.ndarray]) -> CompensatedSum:
+    """Sum term_fn(lo, hi) arrays over the fixed partition of [0, total), in block order."""
     acc = CompensatedSum()
-    for partial in partials:
-        acc.combine(partial)
+    for lo, hi in block_ranges(total):
+        acc.combine(block_sum(term_fn(lo, hi)))
     return acc

@@ -127,33 +127,33 @@ def _within(name: str, value: float, band: tuple[float, float], computed: float)
     return CheckResult(name, band[0] <= value <= band[1], value, band[1], (computed,))
 
 
-def _enumerated_torus(dims: tuple[int, ...], threads: int) -> float:
+def _enumerated_torus(dims: tuple[int, ...]) -> float:
     """Torus average resistance summed over all N eigenvalues, no closed-form axis."""
-    return spectral_rave(torus_spectrum(dims), threads=threads).value
+    return spectral_rave(torus_spectrum(dims)).value
 
 
-def ring_suite(threads: int = 1) -> list[CheckResult]:
+def ring_suite() -> list[CheckResult]:
     """c1, rings: the enumerated one-dimensional torus spectrum vs the exact ring formula.
 
     ``rave_torus([m])`` sums its one axis in closed form, which is the ring
     formula itself, so the spectral side here is the enumerated sum.
     """
     return [
-        _agree(f"ring:M={m}", _enumerated_torus((m,), threads), rave_ring_exact(m).value, RING_REL_TOL)
+        _agree(f"ring:M={m}", _enumerated_torus((m,)), rave_ring_exact(m).value, RING_REL_TOL)
         for m in (3, 10, 100, 1000, 10000)
     ]
 
 
-def closed_axis_checks(threads: int = 1) -> list[CheckResult]:
+def closed_axis_checks() -> list[CheckResult]:
     """c1, tori: ``rave_torus`` (longest side in closed form) vs the enumerated spectrum."""
     return [
-        _agree(f"closed-axis:{'x'.join(map(str, dims))}", rave_torus(dims, threads=threads).value,
-               _enumerated_torus(dims, threads), CLOSED_AXIS_REL_TOL)
+        _agree(f"closed-axis:{'x'.join(map(str, dims))}", rave_torus(dims).value,
+               _enumerated_torus(dims), CLOSED_AXIS_REL_TOL)
         for dims in CLOSED_AXIS_CASES
     ]
 
 
-def oracle_suite(seed: int = 42, threads: int = 1) -> list[CheckResult]:
+def oracle_suite(seed: int = 42) -> list[CheckResult]:
     """c2: spectral value vs the all-pairs electrical oracle on the small set.
 
     The spectral side shares no solver with the oracle: tori and hypercubes
@@ -168,13 +168,13 @@ def oracle_suite(seed: int = 42, threads: int = 1) -> list[CheckResult]:
         if isinstance(family, Explicit):
             spectral = rave_dense_spectral(family).value
         else:
-            spectral = rave(family, threads=threads).value
+            spectral = rave(family).value
         oracle = rave_definition_oracle(family).value
         results.append(_agree(f"oracle:{_family_tag(family)}", spectral, oracle, ORACLE_REL_TOL))
     return results
 
 
-def torus2_checks(threads: int = 1) -> list[CheckResult]:
+def torus2_checks() -> list[CheckResult]:
     """c3: two-dimensional tori inside their sandwich, and which lower branch dominates.
 
     The aspect-ratio branch wins for strongly unequal sides; the logarithmic
@@ -182,7 +182,7 @@ def torus2_checks(threads: int = 1) -> list[CheckResult]:
     """
     results = [
         _sandwich(f"sandwich:torus2:{m1}x{m2}", bounds_torus2(m1, m2),
-                  rave_torus([m1, m2], threads=threads).value)
+                  rave_torus([m1, m2]).value)
         for m1, m2 in TORUS2_PAIRS
     ]
     for m1, m2 in ((4, 80), (4, 128), (5, 100), (8, 160)):
@@ -194,9 +194,9 @@ def torus2_checks(threads: int = 1) -> list[CheckResult]:
     return results
 
 
-def log_slope_checks(threads: int = 1) -> list[CheckResult]:
+def log_slope_checks() -> list[CheckResult]:
     """c4: the growth rate of R against log M on M x M tori is 1/(2 pi)."""
-    ys = [rave_torus([m, m], threads=threads).value for m in SLOPE_SIDES]
+    ys = [rave_torus([m, m]).value for m in SLOPE_SIDES]
     slope = least_squares_slope([math.log(m) for m in SLOPE_SIDES], ys)
     target = 1.0 / (2.0 * math.pi)
     rel = abs(slope - target) / target
@@ -204,18 +204,18 @@ def log_slope_checks(threads: int = 1) -> list[CheckResult]:
     return [CheckResult(name, rel <= LOG_SLOPE_REL_TOL, slope, target * (1.0 + LOG_SLOPE_REL_TOL), tuple(ys))]
 
 
-def torusd_checks(threads: int = 1) -> list[CheckResult]:
+def torusd_checks() -> list[CheckResult]:
     """c5: equal-sided d-tori (d >= 3) inside their sandwich."""
     return [
         _sandwich(f"sandwich:torusd:M={m},d={d}", bounds_torusd(m, d),
-                  rave_torus([m] * d, threads=threads).value)
+                  rave_torus([m] * d).value)
         for m, d in TORUSD_CASES
     ]
 
 
-def conjecture_checks(threads: int = 1) -> list[CheckResult]:
+def conjecture_checks() -> list[CheckResult]:
     """c6: 2 d R stays near 1 on small tori in dimensions 5..7."""
-    values = [rave_torus([m] * d, threads=threads).value for m, d in CONJECTURE_CASES]
+    values = [rave_torus([m] * d).value for m, d in CONJECTURE_CASES]
     return [
         _within(f"conjecture-scale:M={m},d={d}", 2.0 * d * value, CONJECTURE_BAND, value)
         for (m, d), value in zip(CONJECTURE_CASES, values)
@@ -232,13 +232,13 @@ def hypercube_sandwich_checks() -> list[CheckResult]:
     return results
 
 
-def hypercube_checks(threads: int = 1) -> list[CheckResult]:
+def hypercube_checks() -> list[CheckResult]:
     """c7, the rest: closed forms against each other and the spectral sum; d R falls towards 1."""
     results = []
     for d in range(1, 31):
         binom = rave_hypercube_binomial(d).value
         rec = rave_hypercube_recursive(d).value
-        spect = spectral_rave(hypercube_spectrum(d), threads=threads).value
+        spect = spectral_rave(hypercube_spectrum(d)).value
         rel = max(abs(binom - rec), abs(binom - spect)) / binom
         results.append(CheckResult(f"hypercube-threeway:d={d}", rel <= HYPERCUBE_REL_TOL, rel,
                                    HYPERCUBE_REL_TOL, (binom, rec, spect)))
@@ -256,18 +256,18 @@ def hypercube_checks(threads: int = 1) -> list[CheckResult]:
     return results
 
 
-def scenario_checks(threads: int = 1) -> list[CheckResult]:
+def scenario_checks() -> list[CheckResult]:
     """c10: side-growth scenario sandwiches and scenario 1's linear growth."""
     # (scenario, c, N, sides): scenario 1 fixes one side at c = 4, scenario 3 keeps the torus square.
     cases = [(1, 4, n, [4, n // 4]) for n in (64, 256, 1024)]
     cases += [(3, 1, n, [math.isqrt(n)] * 2) for n in (256, 1024, 4096)]
     results = [
         _sandwich(f"sandwich:scenario{sc}:N={n}", scenario_bounds(sc, c, n),
-                  rave_torus(sides, threads=threads).value)
+                  rave_torus(sides).value)
         for sc, c, n, sides in cases
     ]
     # On the 4 x 1024 torus R should sit near its scenario-1 centre N / (12 c^2).
-    value = rave_torus([4, 1024], threads=threads).value
+    value = rave_torus([4, 1024]).value
     ratio = value * 12.0 * 16.0 / 4096.0
     results.append(_within("scenario1-linear-growth:4x1024", ratio, LINEAR_GROWTH_BAND, value))
     return results
@@ -284,18 +284,18 @@ def integral_band_checks(estimates: Estimates) -> list[CheckResult]:
     return results
 
 
-def riemann_checks(estimates: Estimates, threads: int = 1) -> list[CheckResult]:
+def riemann_checks(estimates: Estimates) -> list[CheckResult]:
     """c9: interior sums stay below the midpoint estimate; d = 3 tori converge to it."""
     results = []
     for m in (4, 8, 16):
         for dims in (3, 4):
-            inner = interior_sum(m, dims, threads=threads)
+            inner = interior_sum(m, dims)
             grid = estimates[(dims, "riemann_refined")]
             ref = grid.value + grid.err
             name = f"riemann-domination:M={m},m={dims}"
             results.append(CheckResult(name, inner <= ref, inner, ref, (inner,)))
     ref3 = estimates[(3, "riemann_refined")].value
-    tori = [rave_torus([m] * 3, threads=threads).value for m in (8, 16, 32)]
+    tori = [rave_torus([m] * 3).value for m in (8, 16, 32)]
     gaps = [abs(value - ref3) for value in tori]
     monotone = all(gaps[i] >= gaps[i + 1] for i in range(len(gaps) - 1))
     results.append(CheckResult("convergence:d=3", monotone, gaps[-1], gaps[0], tuple(tori)))
@@ -311,7 +311,8 @@ def criteria(
     computes nothing else. c1 belongs to "all" alone; c7's sandwich records
     belong to "bounds" and its other records to "recursion". An unknown
     suite, and an estimator argument that c8 and c9 would refuse, raise
-    here, before any criterion runs.
+    here, before any criterion runs. ``threads`` reaches only the Monte
+    Carlo estimates of c8 and c9; every other record is a serial sum.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {', '.join(SUITES)}")
@@ -323,17 +324,17 @@ def criteria(
         for d, method, budget in cases
     })
     parts = (
-        ("c1", "all", lambda: ring_suite(threads) + closed_axis_checks(threads)),
-        ("c2", "oracle", lambda: oracle_suite(seed, threads)),
-        ("c3", "bounds", lambda: torus2_checks(threads)),
-        ("c4", "bounds", lambda: log_slope_checks(threads)),
-        ("c5", "bounds", lambda: torusd_checks(threads)),
-        ("c6", "bounds", lambda: conjecture_checks(threads)),
+        ("c1", "all", lambda: ring_suite() + closed_axis_checks()),
+        ("c2", "oracle", lambda: oracle_suite(seed)),
+        ("c3", "bounds", torus2_checks),
+        ("c4", "bounds", log_slope_checks),
+        ("c5", "bounds", torusd_checks),
+        ("c6", "bounds", conjecture_checks),
         ("c7", "bounds", hypercube_sandwich_checks),
-        ("c7", "recursion", lambda: hypercube_checks(threads)),
+        ("c7", "recursion", hypercube_checks),
         ("c8", "integral", lambda: integral_band_checks(estimates())),
-        ("c9", "integral", lambda: riemann_checks(estimates(), threads)),
-        ("c10", "bounds", lambda: scenario_checks(threads)),
+        ("c9", "integral", lambda: riemann_checks(estimates())),
+        ("c10", "bounds", scenario_checks),
     )
     chosen = [part for part in parts if suite in ("all", part[1])]
     if any(key in ("c8", "c9") for key, _, _ in chosen):

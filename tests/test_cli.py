@@ -306,7 +306,7 @@ def test_verify_checks_budgets_before_any_criterion(capsys, monkeypatch):
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
     failing = verify.CheckResult("conjecture-scale:M=3,d=5", False, 2.0, 1.5)
-    monkeypatch.setattr(verify, "conjecture_checks", lambda threads=1: [failing])
+    monkeypatch.setattr(verify, "conjecture_checks", lambda: [failing])
     code, out, _ = run(capsys, "verify", "--suite", "bounds", "--threads", "1")
     assert code == 1
     lines = out.strip().splitlines()

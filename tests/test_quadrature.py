@@ -92,7 +92,7 @@ def test_monte_carlo_determinism():
 
 
 def test_riemann_thread_invariance():
-    # d = 5 at 2e6 points: an 18^5 grid, 18^4 rows, two base blocks
+    # d = 5 at 2e6 points: an 18^5 grid, which folds to 495 rows in one block
     for d, budget in ((3, 10**6), (5, 2 * 10**6)):
         values = [
             estimate_integral(d, method="riemann_refined", budget=budget, threads=t).value
@@ -123,7 +123,7 @@ def test_interior_sum_matches_enumeration(m, d):
 @pytest.mark.parametrize("d,grid", [(1, 5), (1, 8), (2, 7), (3, 6), (3, 11), (4, 5)])
 def test_midpoint_mean_matches_enumeration(d, grid):
     expected = enumerated_mean([side_contribution_table(grid, midpoint=True)] * d)
-    assert abs(_midpoint_mean(d, grid, 1) - expected) <= 1e-14 * expected
+    assert abs(_midpoint_mean(d, grid) - expected) <= 1e-14 * expected
 
 
 def test_interior_sum_validation():
@@ -144,7 +144,7 @@ def test_interior_sum_below_integral():
 
 
 def test_interior_sum_thread_invariance():
-    # (18, 5) has 17^4 rows, two base blocks
+    # (18, 5) has 17^5 interior points, which fold to 495 rows in one block
     for m, dims in ((16, 3), (18, 5)):
         values = [interior_sum(m, dims, threads=t) for t in (1, 2, 8)]
         assert values[0] == values[1] == values[2]

@@ -14,8 +14,11 @@ from gridres import (
     build_laplacian,
     eigenvalues_symmetric,
     hypercube_spectrum,
+    rave_torus,
     spectral_rave,
+    spectrum,
     stream_from_eigenvalues,
+    summation,
     torus_spectrum,
 )
 from gridres.spectrum import (
@@ -153,9 +156,15 @@ def test_spectral_rave_metadata():
     assert abs(res.value - 103.0 / 384.0) <= 1e-15
 
 
-def test_spectral_rave_thread_invariance():
-    values = [spectral_rave(torus_spectrum([37, 41]), threads=t).value for t in (1, 2, 3, 8)]
-    assert all(v == values[0] for v in values)
+def test_spectral_rave_multi_block():
+    # 257 x 300: 77,100 eigenvalues, two base blocks folded in block order
+    stream = torus_spectrum([257, 300])
+    total = stream.term_count()
+    assert len(summation.block_ranges(total)) == 2
+    res = spectral_rave(stream)
+    exact = math.fsum(stream.inverse_terms(0, total).tolist()) / stream.count
+    assert abs(res.value - exact) <= res.err_bound
+    assert abs(res.value - rave_torus([257, 300]).value) <= 1e-13 * res.value
 
 
 def test_disconnected_spectrum_rejected():
@@ -274,11 +283,39 @@ def test_folded_row_counts(dims, rows):
     assert folded_rows(dims[1:])[0].size == rows
 
 
-def test_closed_axis_sum_thread_invariance_multi_block():
-    # 245,157 folded rows of 32^8, four base blocks
+def test_closed_axis_sum_multi_block(monkeypatch):
+    # 245,157 folded rows of 32^8; all but the null row reach reduce_blocks,
+    # four base blocks folded in block order
     assert folded_rows((32,) * 7)[0].size == 245157
-    values = [closed_axis_sum((32,) * 8, threads=t) for t in (1, 2, 3)]
-    assert values[0] == values[1] == values[2]
+    summed = []
+
+    def recording(total, term_fn):
+        summed.append(term_fn(0, total))
+        return summation.reduce_blocks(total, term_fn)
+
+    monkeypatch.setattr(spectrum, "reduce_blocks", recording)
+    value, err = closed_axis_sum((32,) * 8)
+    (rows,) = summed
+    assert rows.size == 245156
+    assert len(summation.block_ranges(rows.size)) == 4
+    exact = math.fsum([*rows.tolist(), (32 * 32 - 1) / 12.0])
+    assert abs(value - exact) <= err
+
+
+@pytest.mark.parametrize("dims", [(64, 3, 5), (5, 64, 3)])
+def test_closed_axis_sum_closes_the_longest_side(monkeypatch, dims):
+    # err_bound assumes M theta / 2 > 2.3 on cycle rows, which needs M to be
+    # the longest side wherever it stands in dims: only 3 and 5 may fold.
+    folded = []
+
+    def recording(sides, *args):
+        folded.append(sorted(sides))
+        return folded_rows(sides, *args)
+
+    monkeypatch.setattr(spectrum, "folded_rows", recording)
+    for midpoint, interior in ((False, False), (True, False), (False, True)):
+        closed_axis_sum(dims, midpoint, interior)
+    assert folded == [[3, 5]] * 3
 
 
 def test_closed_axis_sum_rounded_weights_inside_bound():

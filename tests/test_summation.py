@@ -15,6 +15,7 @@ from gridres import (
     Ring,
     Torus,
     estimate_integral,
+    interior_sum,
     rave,
     rave_torus,
     summation,
@@ -213,12 +214,14 @@ def test_map_blocks_preserves_order():
 
 @pytest.mark.parametrize("threads", ["2", 2.0, 0, -3, -5])
 def test_threads_validated(threads):
-    # rave checks threads on every route, including those that never use it
+    # every entry point that takes threads checks it, also where it is not used
     families = (Ring(5), Torus((4, 4)), Hypercube(3), Explicit(3, [(0, 1), (1, 2)]))
     for call in (
         lambda: map_blocks(block_ranges(10), lambda lo, hi: lo, threads),
         lambda: rave_torus((4, 4), threads=threads),
+        lambda: interior_sum(4, 3, threads=threads),
         lambda: estimate_integral(3, budget=10**4, threads=threads),
+        lambda: estimate_integral(3, method="riemann_refined", budget=10**4, threads=threads),
         *(lambda g=g: rave(g, threads=threads) for g in families),
     ):
         with pytest.raises(InvalidFamily, match="threads"):
@@ -257,16 +260,24 @@ def test_pool_capped_by_blocks_and_cpus(monkeypatch):
     assert started == [4, 3, 2]
 
 
-def test_reduce_blocks_thread_invariant():
+def test_reduce_blocks_folds_blocks_in_order(monkeypatch):
     total = 2 * BASE_BLOCK + 999
 
     def terms(lo, hi):
         idx = np.arange(lo, hi, dtype=np.float64)
         return 1.0 / (idx + 1.0) ** 2
 
-    values = [reduce_blocks(total, terms, threads=t).value for t in (1, 2, 8)]
-    assert values[0] == values[1] == values[2]
-    assert abs(values[0] - math.pi**2 / 6.0) < 1e-5  # partial zeta(2)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reduce_blocks reached the thread pool")
+
+    expected = CompensatedSum()
+    for lo, hi in block_ranges(total):
+        expected.combine(block_sum(terms(lo, hi)))
+    monkeypatch.setattr(summation, "map_blocks", forbidden)
+    monkeypatch.setattr(summation, "ThreadPoolExecutor", forbidden)
+    got = reduce_blocks(total, terms)
+    assert (got.value, got.abs_sum, got.count) == (expected.value, expected.abs_sum, expected.count)
+    assert abs(got.value - math.pi**2 / 6.0) < 1e-5  # partial zeta(2)
 
 
 def test_combine_is_ordered_fold():
