@@ -135,7 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="integer >= 1, checked but unused: no value here uses worker threads "
         "(default: CPUs this process may run on)",
     )
-    compute.add_argument("--max-terms", type=_positive_int, default=MAX_TERMS)
+    compute.add_argument(
+        "--max-terms", type=_positive_int, default=MAX_TERMS,
+        help="cap on a torus's node count N, not on the far fewer folded rows it sums; "
+        "rings, hypercubes and --graph ignore it (default: %(default)s)",
+    )
 
     p_rave = sub.add_parser("rave", parents=[compute], help="compute one average-resistance value")
     p_rave.set_defaults(handler=_cmd_rave)

@@ -1,14 +1,15 @@
 """Closed-form Laplacian spectra of tori and hypercubes, and spectral averaging.
 
-Every spectrum here is a sum of per-axis tables. A stream holds tables
-t_0, ..., t_{d-1}; the eigenvalue at the row-major flat index of
-h = (h_0, ..., h_{d-1}) is t_0[h_0] + ... + t_{d-1}[h_{d-1}]. A torus has
-one cycle table 4 sin^2(pi k / M_i) per side; a hypercube has one axis of
-eigenvalues 2m with exact binomial multiplicities C(d, m); a dense
-eigensolve has one axis of sorted eigenvalues. The first
-``zero_multiplicity`` flat indices are the null modes. Consumers pull
-fixed-size flat-index blocks, so no stream materializes O(N) storage.
-``table_sums`` is the one decode of flat indices.
+A spectrum is held as two arrays: the Laplacian eigenvalues and their
+exact int64 multiplicities. A torus has every one of its N eigenvalues
+t_0[h_0] + ... + t_{d-1}[h_{d-1}], with one cycle table
+4 sin^2(pi k / M_i) per side, in row-major order of h and each counted
+once; a hypercube has the d + 1 eigenvalues 2m with binomial
+multiplicities C(d, m); a dense eigensolve has its sorted eigenvalues,
+each counted once. The first ``zero_multiplicity`` entries are the null
+modes. A torus spectrum is O(N) memory, so ``torus_spectrum`` refuses
+more than DENSE_LIMIT^2 eigenvalues, the size of the largest dense
+Laplacian.
 
 ``closed_axis_sum`` is the fast route for torus lattices: it sums the
 longest side in closed form and folds the other sides by symmetry, one
@@ -24,15 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .eigen import null_mode_count
-from .errors import DisconnectedSpectrum, Overflow
+from .errors import DisconnectedSpectrum, Overflow, SizeExceeded
 from .families import Hypercube, Torus
-from .summation import EPS, block_ranges, reduce_blocks
+from .laplacian import DENSE_LIMIT
+from .summation import EPS, reduce_blocks
 
 # Largest dimension whose binomial multiplicities all stay in the exact
 # 64-bit integer range.
@@ -103,75 +105,64 @@ def half_table(m: int, midpoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
     return 4.0 * s * s, mult
 
 
-def table_sums(tables: Sequence[np.ndarray], lo: int, hi: int) -> np.ndarray:
-    """sum_i tables[i][h_i] for the row-major flat indices of h in [lo, hi).
-
-    The last axis varies fastest. Its entry is added first and the first
-    axis's last; the order is fixed so every caller's sums are reproducible.
-    """
-    idx = np.arange(lo, hi)
-    out = np.zeros(idx.size)
-    for table in reversed(tables):
-        out += table[idx % table.size]
-        idx //= table.size
-    return out
-
-
 class SpectrumStream:
-    """Laplacian eigenvalues as a sum of per-axis tables, in flat-index blocks.
+    """Laplacian eigenvalues ``values`` (float64) with their ``multiplicity`` (exact int64).
 
-    The eigenvalue at flat index h is ``table_sums(tables, h, h + 1)``. It
-    counts ``multiplicity[h]`` times when a multiplicity vector is given (a
-    single axis, exact int64) and once otherwise. The first
-    ``zero_multiplicity`` flat indices are the null modes (1 for any
-    connected graph); sums exclude them by index, never by a numeric
-    tolerance.
+    ``values[h]`` counts ``multiplicity[h]`` times. The first
+    ``zero_multiplicity`` entries are the null modes (1 for any connected
+    graph); sums exclude them by index, never by a numeric tolerance.
+    ``count`` is the node count N, the multiplicities' total as a Python
+    int, summed in uint64 and so exact below 2^64 (``hypercube_spectrum(63)``
+    totals 2^63).
     """
 
     def __init__(
-        self,
-        tables: Sequence[np.ndarray],
-        zero_multiplicity: int = 1,
-        multiplicity: np.ndarray | None = None,
+        self, values: np.ndarray, multiplicity: np.ndarray, zero_multiplicity: int = 1
     ) -> None:
-        self.tables = tuple(tables)
-        self.zero_multiplicity = zero_multiplicity
+        self.values = values
         self.multiplicity = multiplicity
-        # node count N: eigenvalues counted with multiplicity
-        self.count = self.term_count() if multiplicity is None else sum(multiplicity.tolist())
-
-    def term_count(self) -> int:
-        """Number of flat indices, null modes included."""
-        return math.prod(table.size for table in self.tables)
-
-    def _weights(self, lo: int, hi: int) -> float | np.ndarray:
-        return 1.0 if self.multiplicity is None else self.multiplicity[lo:hi]
+        self.zero_multiplicity = zero_multiplicity
+        self.count = int(multiplicity.sum(dtype=np.uint64))
 
     def pairs(self) -> Iterator[tuple[float, int]]:
-        """Yield (eigenvalue, multiplicity) per flat index, null modes included.
+        """Yield (eigenvalue, multiplicity) per entry, null modes included.
 
         The readable view of a stream, for inspection rather than sums: it
-        lists the spectrum in flat-index order for comparison with a dense
+        lists the spectrum in stored order for comparison with a dense
         eigensolve, and yields multiplicities as exact Python ints.
         """
-        for lo, hi in block_ranges(self.term_count()):
-            weights = repeat(1) if self.multiplicity is None else self.multiplicity[lo:hi].tolist()
-            yield from zip(self.lambda_block(lo, hi).tolist(), weights)
+        return zip(self.values.tolist(), self.multiplicity.tolist())
 
     def lambda_block(self, lo: int, hi: int) -> np.ndarray:
-        """Eigenvalues at flat indices [lo, hi)."""
-        return table_sums(self.tables, lo, hi)
+        """Eigenvalues at entries [lo, hi)."""
+        return self.values[lo:hi]
 
     def inverse_terms(self, lo: int, hi: int) -> np.ndarray:
-        """Summands multiplicity / eigenvalue at the non-null flat indices in [lo, hi)."""
+        """Summands multiplicity / eigenvalue at the non-null entries in [lo, hi)."""
         lo = max(lo, self.zero_multiplicity)
-        return self._weights(lo, hi) / self.lambda_block(lo, hi)
+        return self.multiplicity[lo:hi] / self.lambda_block(lo, hi)
+
+
+def _unit_multiplicity(n: int) -> np.ndarray:
+    """n multiplicities of 1, as a read-only view of one int64 rather than n of them."""
+    return np.broadcast_to(np.int64(1), (n,))
 
 
 def torus_spectrum(dims: list[int] | tuple[int, ...]) -> SpectrumStream:
-    """Spectrum stream of the toroidal grid with the given side lengths."""
+    """All N eigenvalues of the toroidal grid with the given side lengths, row-major.
+
+    The last axis varies fastest. Its entry is added first and the first
+    axis's last, so every eigenvalue has one fixed rounding. Raises
+    SizeExceeded above DENSE_LIMIT^2 eigenvalues, before allocating.
+    """
     family = Torus(tuple(dims))  # validates the descriptor
-    return SpectrumStream([side_contribution_table(m) for m in family.dims])
+    n = family.node_count()
+    if n > DENSE_LIMIT**2:
+        raise SizeExceeded(f"{n} eigenvalues exceed the enumeration cap {DENSE_LIMIT**2}")
+    values = np.zeros(1)
+    for m in reversed(family.dims):
+        values = np.add.outer(side_contribution_table(m), values).ravel()
+    return SpectrumStream(values, _unit_multiplicity(n))
 
 
 def exact_hypercube_dimension(d: int) -> int:
@@ -193,32 +184,32 @@ def hypercube_spectrum(d: int) -> SpectrumStream:
     """Spectrum stream of the d-dimensional hypercube: (2m, C(d, m)), m = 0 .. d."""
     d = exact_hypercube_dimension(d)
     multiplicity = np.array([math.comb(d, m) for m in range(d + 1)], dtype=np.int64)
-    return SpectrumStream([2.0 * np.arange(d + 1)], multiplicity=multiplicity)
+    return SpectrumStream(2.0 * np.arange(d + 1), multiplicity)
 
 
 def stream_from_eigenvalues(eigenvalues: np.ndarray) -> SpectrumStream:
-    """Wrap a dense eigensolve result as a one-axis stream.
+    """Wrap a dense eigensolve result as a stream of sorted eigenvalues, each counted once.
 
     Null modes are identified by the |lambda| <= 1e-9 * lambda_max rule;
     connectivity is judged by the caller via zero_multiplicity.
     """
     values = np.sort(np.asarray(eigenvalues, dtype=np.float64))
-    return SpectrumStream([values], null_mode_count(values))
+    return SpectrumStream(values, _unit_multiplicity(values.size), null_mode_count(values))
 
 
 def spectral_rave(stream: SpectrumStream) -> ResistanceResult:
     """Average effective resistance from a spectrum: (1/N) sum mult/lambda.
 
-    Uses compensated summation over the stream's fixed block partition,
-    folded serially in block order. ``terms`` counts the nonzero
-    eigenvalues with multiplicity, N - 1.
+    Uses compensated summation over the fixed block partition of the
+    stream's entries, folded serially in block order. ``terms`` counts the
+    nonzero eigenvalues with multiplicity, N - 1.
     """
     if stream.zero_multiplicity != 1:
         raise DisconnectedSpectrum(
             f"{stream.zero_multiplicity} zero eigenvalues in the stream; expected 1"
         )
     n = stream.count
-    acc = reduce_blocks(stream.term_count(), stream.inverse_terms)
+    acc = reduce_blocks(stream.values.size, stream.inverse_terms)
     return ResistanceResult(acc.value / n, "spectral", n - 1, acc.err_bound / n)
 
 

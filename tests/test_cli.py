@@ -100,6 +100,23 @@ def test_computation_errors_exit_3(capsys, tmp_path):
     assert code == 3  # missing --m
 
 
+def test_max_terms_caps_torus_nodes_only(capsys, tmp_path):
+    path = tmp_path / "triangle.txt"
+    path.write_text("3\n0 1\n1 2\n0 2\n")
+    for family in (["--ring", "5"], ["--hypercube", "3"], ["--graph", str(path)]):
+        code, _, err = run(capsys, "rave", *family, "--max-terms", "1")
+        assert code == 0 and err == ""
+    # 4 x 4 has N = 16 nodes and folds to far fewer rows; the cap counts N.
+    code, out, _ = run(capsys, "rave", "--torus", "4,4", "--max-terms", "16")
+    assert code == 0 and out.startswith("0.268229166666667 ")
+    code, out, err = run(capsys, "rave", "--torus", "4,4", "--max-terms", "15")
+    assert code == 3 and out == ""
+    assert "exceed the cap 15" in err
+    with pytest.raises(SystemExit):
+        main(["rave", "--help"])
+    assert "cap on a torus's node count N" in " ".join(capsys.readouterr().out.split())
+
+
 def test_sweep_roundtrip_bit_exact(capsys, tmp_path):
     out_file = tmp_path / "torus2.csv"
     code, _, _ = run(capsys, "sweep", "--family", "torus2", "--m", "4,8,16", "--out", str(out_file))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -18,7 +19,7 @@ from gridres import (
     rave_torus,
 )
 from gridres.quadrature import CHUNK_ROWS, _midpoint_mean
-from gridres.spectrum import side_contribution_table, table_sums
+from gridres.spectrum import side_contribution_table
 from gridres.summation import BASE_BLOCK, EPS, CompensatedSum, block_ranges, block_sum
 
 # midpoint extrapolation over grids 64/128/256 agrees with this to 5 digits
@@ -108,9 +109,9 @@ def test_interior_sum_examples():
 
 
 def enumerated_mean(tables):
-    """Mean of 1 / sum_i tables[i][h_i] over every h, from plain flat-index sums."""
-    total = math.prod(table.size for table in tables)
-    return math.fsum(1.0 / table_sums(tables, 0, total)) / total
+    """Mean of 1 / sum_i tables[i][h_i] over every index vector h, in plain Python."""
+    terms = [1.0 / math.fsum(entries) for entries in itertools.product(*(t.tolist() for t in tables))]
+    return math.fsum(terms) / len(terms)
 
 
 @pytest.mark.parametrize("m,d", [(3, 1), (7, 1), (4, 2), (9, 2), (5, 3), (8, 3), (4, 4), (6, 4)])

@@ -10,6 +10,7 @@ from gridres import (
     Explicit,
     Hypercube,
     Overflow,
+    SizeExceeded,
     Torus,
     build_laplacian,
     eigenvalues_symmetric,
@@ -26,7 +27,6 @@ from gridres.spectrum import (
     folded_rows,
     half_table,
     side_contribution_table,
-    table_sums,
 )
 
 
@@ -98,9 +98,8 @@ def test_spectrum_invariants():
 
 
 def eigenvalue_total(stream):
-    """Sum of multiplicity * eigenvalue over every flat index."""
-    weights = 1 if stream.multiplicity is None else stream.multiplicity
-    return math.fsum(weights * stream.lambda_block(0, stream.term_count()))
+    """Sum of multiplicity * eigenvalue over every entry."""
+    return math.fsum(stream.multiplicity * stream.lambda_block(0, stream.values.size))
 
 
 def test_eigenvalue_sum_is_twice_edge_count():
@@ -159,7 +158,7 @@ def test_spectral_rave_metadata():
 def test_spectral_rave_multi_block():
     # 257 x 300: 77,100 eigenvalues, two base blocks folded in block order
     stream = torus_spectrum([257, 300])
-    total = stream.term_count()
+    total = stream.values.size
     assert len(summation.block_ranges(total)) == 2
     res = spectral_rave(stream)
     exact = math.fsum(stream.inverse_terms(0, total).tolist()) / stream.count
@@ -202,11 +201,25 @@ def test_midpoint_table_symmetry():
         assert np.all(table > 0.0)
 
 
-def test_table_sums_row_major_three_axes():
-    tables = [np.array([0.0, 1.0, 2.0]), np.array([0.0, 10.0]), np.array([0.0, 100.0, 200.0, 300.0])]
-    expected = [a + b + c for a in tables[0] for b in tables[1] for c in tables[2]]
-    assert table_sums(tables, 0, 24).tolist() == expected
-    assert table_sums(tables, 5, 17).tolist() == expected[5:17]
+@pytest.mark.parametrize("dims", [(3, 4, 5), (3, 5, 7)], ids=["3x4x5", "3x5x7"])
+def test_torus_spectrum_row_major_addition_order(dims):
+    # The last axis's entry is added first; c1's enumerated tori rely on these exact bits.
+    # On (3, 5, 7), 24 of the 105 eigenvalues round differently if the first axis goes first.
+    t0, t1, t2 = (side_contribution_table(m).tolist() for m in dims)
+    expected = [
+        (t2[h2] + t1[h1]) + t0[h0]
+        for h0 in range(dims[0])
+        for h1 in range(dims[1])
+        for h2 in range(dims[2])
+    ]
+    stream = torus_spectrum(dims)
+    assert stream.values.tolist() == expected
+    assert stream.lambda_block(7, 41).tolist() == expected[7:41]
+
+
+def test_torus_spectrum_size_cap():
+    with pytest.raises(SizeExceeded):
+        torus_spectrum((4097, 4097))
 
 
 def test_hypercube_spectrum_63_multiplicities_exact():
@@ -218,17 +231,17 @@ def test_hypercube_spectrum_63_multiplicities_exact():
     assert hypercube_spectrum(63).count == 2**63
 
 
-def test_streams_count_flat_indices():
+def test_streams_count_entries_and_nodes():
     k4 = eigenvalues_symmetric(build_laplacian(Explicit(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])))
     cases = [
         (torus_spectrum([3, 4, 5]), 60, 60),
         (hypercube_spectrum(5), 6, 32),
         (stream_from_eigenvalues(k4), 4, 4),
     ]
-    for stream, flat, n in cases:
-        assert stream.term_count() == flat
+    for stream, entries, n in cases:
+        assert stream.values.size == entries
         assert stream.count == n
-        assert len(list(stream.pairs())) == flat
+        assert len(list(stream.pairs())) == entries
         assert spectral_rave(stream).terms == n - 1
 
 
