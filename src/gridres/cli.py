@@ -21,7 +21,7 @@ from .bounds import bounds_hypercube, bounds_torus2, bounds_torusd
 from .errors import GridResError, InsufficientData
 from .families import GraphFamily, Hypercube, Ring, Torus, read_edge_list
 from .resistance import (
-    MAX_TERMS,
+    MAX_ROWS,
     hypercube_ad_direct,
     hypercube_ad_recursive,
     rave,
@@ -114,30 +114,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-class _AffinitySize(str):
-    """The --threads default: argparse passes a str default through ``type`` at parse time."""
-
-
-def _threads(text: str) -> int:
-    return default_threads() if isinstance(text, _AffinitySize) else _positive_int(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridres",
         description="Average effective resistance of rings, toroidal grids and hypercubes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    threads = _AffinitySize()
     compute = argparse.ArgumentParser(add_help=False)
     compute.add_argument(
-        "--threads", type=_threads, default=threads,
-        help="integer >= 1, checked but unused: no value here uses worker threads "
-        "(default: CPUs this process may run on)",
+        "--threads", type=_positive_int, default=1,
+        help="integer >= 1, checked but unused: nothing here uses worker threads (default: 1)",
     )
     compute.add_argument(
-        "--max-terms", type=_positive_int, default=MAX_TERMS,
-        help="cap on a torus's node count N, not on the far fewer folded rows it sums; "
+        "--max-terms", type=_positive_int, default=MAX_ROWS,
+        help="cap on the folded rows a torus sum builds, far fewer than its N nodes; "
         "rings, hypercubes and --graph ignore it (default: %(default)s)",
     )
 
@@ -165,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=SUITES)
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument(
-        "--threads", type=_threads, default=threads,
+        "--threads", type=_positive_int, default=None,
         help="worker threads for the Monte Carlo estimates of the integral criteria; "
         "every other check is a serial sum (integer >= 1, default: CPUs this process may run on)",
     )
@@ -276,7 +266,8 @@ def read_sweep_csv(path: str | Path) -> list[SweepRow]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    groups = criteria(args.seed, args.threads, args.budget, args.budget, args.suite)
+    threads = args.threads or default_threads()  # None unless --threads is given
+    groups = criteria(args.seed, threads, args.budget, args.budget, args.suite)
     results = [check for _, checks in groups for check in checks]
     for check in results:
         print(check.line())

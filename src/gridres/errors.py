@@ -26,7 +26,7 @@ class DisconnectedSpectrum(DisconnectedGraph):
 
 
 class Overflow(GridResError):
-    """A binomial multiplicity would leave the exact integer range."""
+    """A value would leave the exact integer range or the float range."""
 
 
 class NonIntegralSides(GridResError):

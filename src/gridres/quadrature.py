@@ -12,10 +12,10 @@ others over their mirror and permutation classes: the midpoint rule sums
 1 / sum_i t[h_i] over a grid^d midpoint lattice, whose points can never
 hit the singular lattice images of the origin, and ``interior_sum`` sums
 the same over the cycle lattice without the zero entries. A budget counts
-lattice points, not the C(ceil(grid/2) + d - 2, d - 1) folded rows summed.
-Those sums run serially. Seeded Monte Carlo is the one estimator that uses
-worker threads; it draws a fixed per-block sample stream, so no result
-depends on the worker count.
+lattice points, not the C(ceil(grid/2) + d - 2, d - 1) folded rows summed,
+which ``spectrum.check_lattice`` caps. Those sums run serially. Seeded
+Monte Carlo is the one estimator that uses worker threads; it draws a
+fixed per-block sample stream, so no result depends on the worker count.
 """
 
 from __future__ import annotations
@@ -26,19 +26,12 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import (
-    DivergentIntegral,
-    InsufficientBudget,
-    InvalidFamily,
-    SingularPoint,
-    SizeExceeded,
-)
+from .errors import DivergentIntegral, InsufficientBudget, InvalidFamily, SingularPoint
 from .families import require_int
-from .spectrum import closed_axis_sum
+from .spectrum import check_lattice, closed_axis_sum
 from .summation import (
     BASE_BLOCK,
     EPS,
-    MAX_TERMS,
     CompensatedSum,
     block_ranges,
     block_sum,
@@ -125,7 +118,7 @@ def estimate_integral(
 def check_estimate(d: int, method: str, budget: int, seed: int) -> tuple[int, int, int]:
     """Raise what estimate_integral would for these arguments, computing nothing.
 
-    Returns d, budget and seed as ints.
+    Returns d, budget and seed as ints; riemann_refined checks its fine grid with check_lattice.
     """
     d = require_int(d, "dimension")
     budget = require_int(budget, "budget")
@@ -142,6 +135,7 @@ def check_estimate(d: int, method: str, budget: int, seed: int) -> tuple[int, in
             raise InsufficientBudget(
                 f"budget {budget} allows only a {grid}^{d} midpoint grid; need >= 4 points per side"
             )
+        check_lattice((grid,) * d, midpoint=True)
     elif method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
     return d, budget, seed
@@ -219,9 +213,6 @@ def interior_sum(m: int, dims: int, threads: int = 1) -> float:
         raise ValueError(f"side length must be >= 3, got {m}")
     if dims < 1:
         raise ValueError(f"dimension must be >= 1, got {dims}")
-    total = (m - 1) ** dims
-    if total > MAX_TERMS:
-        raise SizeExceeded(f"{total} interior terms exceed the cap {MAX_TERMS}")
     check_threads(threads)
     value, _ = closed_axis_sum((m,) * dims, interior=True)
     return value / float(m) ** dims

@@ -21,25 +21,28 @@ import math
 import numpy as np
 
 from .eigen import eigenvalues_symmetric
-from .errors import InvalidFamily, SizeExceeded
+from .errors import InvalidFamily, Overflow, SizeExceeded
 from .families import Explicit, GraphFamily, Hypercube, Ring, Torus, require_int
 from .laplacian import build_laplacian
 from .linsolve import GroundedSolver, last_pivot
 from .spectrum import (
+    MAX_ROWS,
     ResistanceResult,
     closed_axis_sum,
     exact_hypercube_dimension,
     spectral_rave,
     stream_from_eigenvalues,
 )
-from .summation import EPS, MAX_TERMS, CompensatedSum, block_sum, check_threads
+from .summation import EPS, FLOAT_MAX, CompensatedSum, block_sum, check_threads
 
 ORACLE_NODE_CAP = 256
 
 
 def rave_ring_exact(m: int) -> ResistanceResult:
-    """Closed-form ring average resistance m/12 - 1/(12 m)."""
+    """Closed-form ring average resistance m/12 - 1/(12 m); Overflow past the float range."""
     m = Ring(m).m
+    if m > FLOAT_MAX:
+        raise Overflow("the ring size leaves the float range")
     value = m / 12.0 - 1.0 / (12.0 * m)
     return ResistanceResult(value, "closed_form", 1, 2.0 * EPS * abs(value))
 
@@ -47,25 +50,20 @@ def rave_ring_exact(m: int) -> ResistanceResult:
 def rave_torus(
     dims: list[int] | tuple[int, ...],
     threads: int = 1,
-    max_terms: int = MAX_TERMS,
+    max_terms: int = MAX_ROWS,
 ) -> ResistanceResult:
     """Spectral average resistance of a toroidal grid.
 
     Sums (1/N) sum 1/lambda with the longest side in closed form over one
     weighted row per mirror and permutation class of the other sides'
-    indices (``closed_axis_sum``): C(floor(M/2) + d - 1, d - 1) rows for an
-    equal-sided torus of side M, not M^(d-1). ``terms`` and the
-    ``max_terms`` cap still count the N - 1 eigenvalues and the N nodes. The enumerated sum over all
-    N eigenvalues, ``spectral_rave(torus_spectrum(dims))``, is the
-    independent check. threads must be an integer >= 1 (InvalidFamily
-    otherwise); the sum runs serially and does not use it.
+    indices (``closed_axis_sum``), at most ``max_terms`` of them; ``terms``
+    counts the N - 1 eigenvalues. threads must be an integer >= 1
+    (InvalidFamily otherwise); the sum runs serially and does not use it.
     """
     dims = Torus(tuple(dims)).dims
-    n = math.prod(dims)
-    if n > max_terms:
-        raise SizeExceeded(f"{n} spectral terms exceed the cap {max_terms}")
     check_threads(threads)
-    value, err = closed_axis_sum(dims)
+    value, err = closed_axis_sum(dims, max_rows=max_terms)
+    n = math.prod(dims)
     return ResistanceResult(value / n, "spectral", n - 1, err / n)
 
 
@@ -183,7 +181,7 @@ def rave_dense_spectral(g: GraphFamily) -> ResistanceResult:
     return spectral_rave(stream_from_eigenvalues(eigs))
 
 
-def rave(g: GraphFamily, threads: int = 1, max_terms: int = MAX_TERMS) -> ResistanceResult:
+def rave(g: GraphFamily, threads: int = 1, max_terms: int = MAX_ROWS) -> ResistanceResult:
     """Average resistance of any family, using the natural method for each.
 
     threads is checked on every route, although none uses it.

@@ -1,15 +1,8 @@
 """Closed-form Laplacian spectra of tori and hypercubes, and spectral averaging.
 
-A spectrum is held as two arrays: the Laplacian eigenvalues and their
-exact int64 multiplicities. A torus has every one of its N eigenvalues
-t_0[h_0] + ... + t_{d-1}[h_{d-1}], with one cycle table
-4 sin^2(pi k / M_i) per side, in row-major order of h and each counted
-once; a hypercube has the d + 1 eigenvalues 2m with binomial
-multiplicities C(d, m); a dense eigensolve has its sorted eigenvalues,
-each counted once. The first ``zero_multiplicity`` entries are the null
-modes. A torus spectrum is O(N) memory, so ``torus_spectrum`` refuses
-more than DENSE_LIMIT^2 eigenvalues, the size of the largest dense
-Laplacian.
+A ``SpectrumStream`` holds Laplacian eigenvalues with exact int64
+multiplicities: a torus's N sums of one cycle-table entry 4 sin^2(pi k / M_i)
+per side, a hypercube's 2m with multiplicities C(d, m), or a dense eigensolve's.
 
 ``closed_axis_sum`` is the fast route for torus lattices: it sums the
 longest side in closed form and folds the other sides by symmetry, one
@@ -18,7 +11,7 @@ permuting equal sides (``folded_rows``). An equal-sided lattice of side M
 in d dimensions then costs C(floor(M/2) + d - 1, d - 1) rows instead of
 M^(d-1). ``rave_torus`` and the continuum sums in ``quadrature`` use it;
 ``spectral_rave(torus_spectrum(dims))`` enumerates all N terms and stays
-as the independent check.
+as the independent check. ``check_lattice`` is their size and range gate.
 """
 
 from __future__ import annotations
@@ -34,8 +27,10 @@ from .eigen import null_mode_count
 from .errors import DisconnectedSpectrum, Overflow, SizeExceeded
 from .families import Hypercube, Torus
 from .laplacian import DENSE_LIMIT
-from .summation import EPS, reduce_blocks
+from .summation import EPS, FLOAT_MAX, reduce_blocks
 
+# Default cap on folded lattice rows and on torus_spectrum's eigenvalues: 2^24 float64.
+MAX_ROWS = DENSE_LIMIT**2
 # Largest dimension whose binomial multiplicities all stay in the exact
 # 64-bit integer range.
 MAX_EXACT_HYPERCUBE = 63
@@ -53,9 +48,7 @@ class ResistanceResult:
     """A computed average-resistance value plus how it was obtained."""
 
     value: float
-    # closed_form | spectral (closed-form or dense-eigensolver eigenvalues; a
-    # torus sums its longest side in closed form over the folded rows of the
-    # others, but terms still counts N - 1 and the term cap still counts N) |
+    # closed_form | spectral (closed-form or dense-eigensolver eigenvalues) |
     # green_trace (explicit graphs, inverse Cholesky factor; err_bound covers
     # the two final sums and the factor's row sums, not the factorization) |
     # oracle_definition | recursion
@@ -153,12 +146,12 @@ def torus_spectrum(dims: list[int] | tuple[int, ...]) -> SpectrumStream:
 
     The last axis varies fastest. Its entry is added first and the first
     axis's last, so every eigenvalue has one fixed rounding. Raises
-    SizeExceeded above DENSE_LIMIT^2 eigenvalues, before allocating.
+    SizeExceeded above MAX_ROWS eigenvalues, before allocating.
     """
     family = Torus(tuple(dims))  # validates the descriptor
     n = family.node_count()
-    if n > DENSE_LIMIT**2:
-        raise SizeExceeded(f"{n} eigenvalues exceed the enumeration cap {DENSE_LIMIT**2}")
+    if n > MAX_ROWS:
+        raise SizeExceeded(f"{n} eigenvalues exceed the enumeration cap {MAX_ROWS}")
     values = np.zeros(1)
     for m in reversed(family.dims):
         values = np.add.outer(side_contribution_table(m), values).ravel()
@@ -226,9 +219,8 @@ def folded_rows(
     is the multinomial g! / prod c_k! of its index counts c_k times the
     product of the entries' multiplicities. Groups of different sides
     combine as an outer product, in increasing side order. The weights sum
-    to the number of index vectors; a group of g sides with c distinct
-    entries gives C(c + g - 1, g) rows. The all-zero index vector comes
-    first. No sides give the one row a = 0.
+    to the number of index vectors; ``folded_row_count`` counts the rows.
+    The all-zero index vector comes first. No sides give the one row a = 0.
 
     A weight is built by at most one product and one quotient of integers
     per side and one product per further group; products by a
@@ -247,6 +239,15 @@ def folded_rows(
         a = np.add.outer(a, group_a).ravel()
         weight = np.multiply.outer(weight, group_weight).ravel()
     return a, weight
+
+
+def folded_row_count(sides: Sequence[int], midpoint: bool = False, interior: bool = False) -> int:
+    """Rows of ``folded_rows(sides, midpoint, interior)``, counted without building them."""
+    count = 1
+    for side in set(sides):
+        g = sides.count(side)  # C(c + g - 1, g) rows, c entries in the half table folded_rows uses
+        count *= math.comb((side + 2 - midpoint) // 2 - interior + g - 1, g)
+    return count
 
 
 def _multisets(values: np.ndarray, mult: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]:
@@ -276,35 +277,55 @@ def _multisets(values: np.ndarray, mult: np.ndarray, g: int) -> tuple[np.ndarray
     return a, weight
 
 
-def closed_axis_sum(
-    dims: Sequence[int], midpoint: bool = False, interior: bool = False
-) -> tuple[float, float]:
-    """Sum of 1 / sum_i t_i[h_i] over a torus lattice, its longest side in closed form.
+def check_lattice(
+    dims: Sequence[int], midpoint: bool = False, interior: bool = False, max_rows: int = MAX_ROWS
+) -> tuple[list[int], int]:
+    """Check a lattice for ``closed_axis_sum``; return its other sides, sorted, and its longest.
 
-    t_i is ``side_contribution_table(dims[i], midpoint)``. On cycle tables
-    the null mode h = 0 is left out, and ``interior`` keeps only the h whose
-    components are all nonzero. Returns (value, err_bound); the bound covers
-    the summation and the evaluation and weighting of every row.
-
-    The other sides fold into ``folded_rows``: one row per class of index
-    vectors under mirroring and permuting equal sides, with its weight, so
-    an equal-sided lattice of side M in d dimensions costs
-    C(floor(M/2) + d - 1, d - 1) rows (cycle points) instead of M^(d-1).
-    With a row's value a = 4 sinh^2(theta / 2), r = sqrt(a (a + 4)) and M
-    the longest side, a row sums over that side in closed form:
-    sum_k 1 / (a + t[k]) is M / (r tanh(M theta / 2)) at cycle points and
-    M tanh(M theta / 2) / r at midpoints. An interior row drops its k = 0
-    term 1/a. The row a = 0 (no other axis, or the null row of a cycle
-    lattice) is the side's own sum over its nonzero entries, (M^2 - 1)/12
-    at cycle points and M^2/4 at midpoints. All rows are positive. Taking
-    the longest side keeps M theta / 2 above 2.3 for cycle rows, where tanh
-    is near 1 and well conditioned, and keeps 1/a below the interior row,
-    so cancelling 1/a costs at most a factor 3 in the row's rounding. The
-    weighted rows reduce serially over the fixed block partition
-    (``reduce_blocks``).
+    Overflow when N M d leaves the float range (N points, longest side M,
+    d sides), multiplied up only until it does: no two torus nodes are over
+    d M / 2 steps apart, so a cycle or interior sum stays below N M d / 4, a
+    midpoint sum below N M / 4, and ``folded_rows``' integers below N d.
+    SizeExceeded above ``max_rows`` rows of the other sides, counted when
+    their N / M index vectors, which bound the rows, exceed it.
     """
     sides = sorted(dims)
     m = sides.pop()
+    n = m * len(dims)
+    for side in dims:
+        if (n := n * side) > FLOAT_MAX:
+            raise Overflow(f"a sum over this {len(dims)}-sided lattice leaves the float range")
+    if math.prod(sides) > max_rows:
+        rows = folded_row_count(sides, midpoint, interior)
+        if rows > max_rows:
+            raise SizeExceeded(f"{rows} folded rows exceed the cap {max_rows}")
+    return sides, m
+
+
+def closed_axis_sum(
+    dims: Sequence[int], midpoint: bool = False, interior: bool = False, max_rows: int = MAX_ROWS
+) -> tuple[float, float]:
+    """Sum of 1 / sum_i t_i[h_i] over a torus lattice, its longest side in closed form.
+
+    t_i is ``side_contribution_table(dims[i], midpoint)``; cycle tables drop
+    the null mode h = 0, and ``interior`` keeps only h with no zero component.
+    Raises as ``check_lattice``; returns (value, err_bound), the bound
+    covering the summation and every row's evaluation and weighting.
+
+    The other sides fold into ``folded_rows``. With a row's value
+    a = 4 sinh^2(theta / 2), r = sqrt(a (a + 4)) and M the longest side, a
+    row sums over that side in closed form: sum_k 1 / (a + t[k]) is
+    M / (r tanh(M theta / 2)) at cycle points and M tanh(M theta / 2) / r at
+    midpoints. An interior row drops its k = 0 term 1/a. The row a = 0 (no
+    other axis, or the null row of a cycle lattice) is the side's own sum
+    over its nonzero entries, (M^2 - 1)/12 at cycle points and M^2/4 at
+    midpoints. All rows are positive. Taking the longest side keeps
+    M theta / 2 above 2.3 for cycle rows, where tanh is near 1 and well
+    conditioned, and keeps 1/a below the interior row, so cancelling 1/a
+    costs at most a factor 3 in the row's rounding. The weighted rows
+    reduce serially over the fixed block partition (``reduce_blocks``).
+    """
+    sides, m = check_lattice(dims, midpoint, interior, max_rows)
     a, weight = folded_rows(sides, midpoint, interior)
     zero_row = not sides or not (midpoint or interior)
     if zero_row:

@@ -29,12 +29,11 @@ from .errors import InvalidFamily
 from .families import require_int
 
 EPS = float(np.finfo(np.float64).eps)
+FLOAT_MAX = float(np.finfo(np.float64).max)
 
 # Fixed partition unit; changing it changes last-bit results, so it is a
 # package constant rather than a tuning knob.
 BASE_BLOCK = 65536
-# Default cap on the terms of one spectral or quadrature sum.
-MAX_TERMS = 10**8
 
 T = TypeVar("T")
 

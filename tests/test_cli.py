@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from gridres import verify
+from gridres import cli, verify
 from gridres.bounds import bounds_hypercube, bounds_torus2, bounds_torusd
 from gridres.cli import SweepRow, build_parser, main, read_sweep_csv
 from gridres.resistance import rave_hypercube_binomial, rave_ring_exact, rave_torus
@@ -98,23 +98,29 @@ def test_computation_errors_exit_3(capsys, tmp_path):
     assert f"{bad}:2: expected integers" in err
     code, _, err = run(capsys, "sweep", "--family", "ring", "--out", "/tmp/x.csv")
     assert code == 3  # missing --m
+    code, out, err = run(capsys, "rave", "--ring", "1" + "0" * 400)
+    assert code == 3 and out == ""
+    assert err == "gridres: the ring size leaves the float range\n"
 
 
-def test_max_terms_caps_torus_nodes_only(capsys, tmp_path):
+def test_max_terms_caps_folded_torus_rows(capsys, tmp_path):
     path = tmp_path / "triangle.txt"
     path.write_text("3\n0 1\n1 2\n0 2\n")
     for family in (["--ring", "5"], ["--hypercube", "3"], ["--graph", str(path)]):
         code, _, err = run(capsys, "rave", *family, "--max-terms", "1")
         assert code == 0 and err == ""
-    # 4 x 4 has N = 16 nodes and folds to far fewer rows; the cap counts N.
-    code, out, _ = run(capsys, "rave", "--torus", "4,4", "--max-terms", "16")
-    assert code == 0 and out.startswith("0.268229166666667 ")
-    code, out, err = run(capsys, "rave", "--torus", "4,4", "--max-terms", "15")
+    # 4 x 4 has N = 16 nodes; the other side's half table {0, 1, 2} gives the
+    # 3 folded rows that the cap counts. terms still reports N - 1.
+    code, out, _ = run(capsys, "rave", "--torus", "4,4", "--max-terms", "3")
+    assert code == 0 and out == "0.268229166666667 method=spectral terms=15\n"
+    code, out, err = run(capsys, "rave", "--torus", "4,4", "--max-terms", "2")
     assert code == 3 and out == ""
-    assert "exceed the cap 15" in err
+    assert err == "gridres: 3 folded rows exceed the cap 2\n"
     with pytest.raises(SystemExit):
         main(["rave", "--help"])
-    assert "cap on a torus's node count N" in " ".join(capsys.readouterr().out.split())
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "cap on the folded rows a torus sum builds, far fewer than its N nodes" in help_text
+    assert "(default: 16777216)" in help_text
 
 
 def test_sweep_roundtrip_bit_exact(capsys, tmp_path):
@@ -319,6 +325,10 @@ def test_verify_checks_budgets_before_any_criterion(capsys, monkeypatch):
         code, out, err = run(capsys, "verify", "--suite", suite, "--budget", "65535")
         assert code == 3 and out == ""
         assert err == "gridres: budget 65535 allows only a 3^8 midpoint grid; need >= 4 points per side\n"
+        # 10^16 gives a 215,443^3 midpoint grid, whose folded rows exceed the cap.
+        code, out, err = run(capsys, "verify", "--suite", suite, "--budget", "10000000000000000")
+        assert code == 3 and out == ""
+        assert err.startswith("gridres: ") and "folded rows exceed the cap 16777216" in err
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
@@ -355,7 +365,10 @@ def test_hypercube_ad_validation(capsys):
     assert code == 3
 
 
-def test_threads_default_is_affinity_size(tmp_path):
+def test_threads_default_is_affinity_size(tmp_path, monkeypatch):
+    # Only verify uses worker threads: it defaults to the CPUs this process
+    # may run on, resolved when it runs. rave and sweep check --threads but
+    # use no threads, so they default to 1.
     if hasattr(os, "sched_getaffinity"):
         expected = len(os.sched_getaffinity(0))
     else:
@@ -364,6 +377,10 @@ def test_threads_default_is_affinity_size(tmp_path):
     for argv in (
         ["rave", "--ring", "3"],
         ["sweep", "--family", "ring", "--m", "3", "--out", str(tmp_path / "rows.csv")],
-        ["verify", "--suite", "recursion"],
     ):
-        assert parser.parse_args(argv).threads == expected
+        assert parser.parse_args(argv).threads == 1
+    seen = []
+    monkeypatch.setattr(cli, "criteria", lambda seed, threads, *args: seen.append(threads) or [])
+    main(["verify", "--suite", "recursion"])
+    main(["verify", "--suite", "recursion", "--threads", "3"])
+    assert seen == [expected, 3]

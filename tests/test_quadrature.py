@@ -132,8 +132,16 @@ def test_interior_sum_validation():
         interior_sum(2, 3)
     with pytest.raises(ValueError):
         interior_sum(5, 0)
-    with pytest.raises(SizeExceeded):
-        interior_sum(102, 4)
+    # 1000^4 folds its other three sides to C(502, 3) = 20,833,500 interior
+    # rows, above the 2^24 cap: refused before any row is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeExceeded):
+            interior_sum(1000, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_interior_sum_below_integral():
@@ -157,7 +165,7 @@ def test_torus_average_approaches_integral():
     assert gaps[0] >= gaps[1] >= gaps[2]
 
 
-@pytest.mark.parametrize("m,d", [(4, 2), (4, 3), (5, 3), (3, 4)])
+@pytest.mark.parametrize("m,d", [(4, 2), (4, 3), (5, 3), (3, 4), (4, 40), (20, 8)])
 def test_interior_sums_decompose_full_average(m, d):
     # grouping index vectors by their set of nonzero components splits the
     # full spectral sum into binomially weighted interior sums

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,9 @@ def test_ring_exact_examples():
     assert rave_ring_exact(5).method == "closed_form"
     with pytest.raises(InvalidFamily):
         rave_ring_exact(0)
+    assert rave_ring_exact(10**300).value == 10**300 / 12.0
+    with pytest.raises(Overflow):
+        rave_ring_exact(10**400)
 
 
 def test_closed_forms_reject_non_integer_arguments():
@@ -107,8 +111,34 @@ def test_rave_torus_examples():
 
 
 def test_rave_torus_term_cap():
+    # max_terms caps folded rows: the other side of 100 x 100 keeps its 51
+    # half-table entries, while N = 10,000.
     with pytest.raises(SizeExceeded):
-        rave_torus([100, 100], max_terms=5000)
+        rave_torus([100, 100], max_terms=50)
+    assert rave_torus([100, 100], max_terms=51) == rave_torus([100, 100])
+
+
+def test_rave_torus_reaches_large_dimensions():
+    # 32^8 has 2^40 nodes and folds to 245,157 rows, inside the default cap.
+    result = rave_torus((32,) * 8)
+    assert result.terms == 2**40 - 1
+    assert 0.0 < result.value < rave_torus((32,) * 7).value
+
+
+@pytest.mark.parametrize("d", [3, 14, 40, 100])
+def test_torus_of_fours_is_a_hypercube(d):
+    # C_4 is Q_2, so the torus (4,)^d is the hypercube Q_{2d}, summed by a
+    # route that shares nothing with the hypercube recursion.
+    expected = rave_hypercube_recursive(2 * d).value
+    assert abs(rave_torus((4,) * d).value - expected) <= 1e-14 * expected
+
+
+@pytest.mark.parametrize("dims", [(4,) * 513, (3,) * 700, (10**200,)], ids=["4^513", "3^700", "1e200"])
+def test_rave_torus_refuses_float_overflow(dims):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow):
+            rave_torus(dims)
 
 
 def test_hypercube_binomial_examples():
@@ -268,7 +298,7 @@ def test_rave_dispatch():
     assert rave_dense_spectral(K3).method == "spectral"
 
 
-def test_green_trace_matches_jacobi_and_oracle():
+def test_green_trace_matches_dense_spectral_and_oracle():
     rng = np.random.Generator(np.random.PCG64(2024))
     for _ in range(20):
         g = random_connected_graph(rng, max_nodes=50)
@@ -291,7 +321,7 @@ def test_green_trace_smallest_graphs():
     assert rave(Explicit(2, [(0, 1)])).value == 0.25
 
 
-def test_green_trace_never_calls_jacobi(monkeypatch):
+def test_green_trace_never_calls_the_eigensolver(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("rave of an explicit graph called the dense eigensolver")
 

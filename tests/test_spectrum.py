@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from gridres import (
 )
 from gridres.spectrum import (
     closed_axis_sum,
+    folded_row_count,
     folded_rows,
     half_table,
     side_contribution_table,
@@ -294,6 +296,31 @@ def test_folded_row_counts(dims, rows):
     m, d = dims[0], len(dims)
     assert rows == math.comb(m // 2 + d - 1, d - 1)
     assert folded_rows(dims[1:])[0].size == rows
+
+
+@pytest.mark.parametrize("sides", [(), (5,), (3, 4, 4, 9), (7,) * 5, (1, 2, 6, 6, 6), (12, 12, 13)])
+@pytest.mark.parametrize("kind", [*LATTICES, pytest.param({"midpoint": True, "interior": True}, id="both")])
+def test_folded_row_count_matches_folded_rows(sides, kind):
+    assert folded_row_count(sides, **kind) == folded_rows(sides, **kind)[0].size
+
+
+def test_lattice_gate_refuses_before_building_rows(monkeypatch):
+    # The 16^100 lattice folds its 99 other sides to C(107, 99) = 3.3e11
+    # rows and (4,) * 513 has 2^1026 points: neither may reach folded_rows.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("folded_rows ran before the gate")
+
+    monkeypatch.setattr(spectrum, "folded_rows", forbidden)
+    assert folded_row_count((16,) * 99) == math.comb(107, 99)
+    tracemalloc.start()
+    try:
+        for dims, error in (((16,) * 100, SizeExceeded), ((4,) * 513, Overflow)):
+            with pytest.raises(error):
+                closed_axis_sum(dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_closed_axis_sum_multi_block(monkeypatch):
