@@ -6,16 +6,15 @@ equal-sided torus average approaches as the side length grows (d >= 3; the
 integrand's origin singularity is integrable there and the integral
 diverges for d = 2).
 
-The lattice sums are the torus spectral sum in table form, through
-``spectrum.closed_axis_sum``, which sums one axis in closed form and the
-others over their mirror and permutation classes: the midpoint rule sums
-1 / sum_i t[h_i] over a grid^d midpoint lattice, whose points can never
-hit the singular lattice images of the origin, and ``interior_sum`` sums
-the same over the cycle lattice without the zero entries. A budget counts
-lattice points, not the C(ceil(grid/2) + d - 2, d - 1) folded rows summed,
-which ``spectrum.check_lattice`` caps. Those sums run serially. Seeded
-Monte Carlo is the one estimator that uses worker threads; it draws a
-fixed per-block sample stream, so no result depends on the worker count.
+The lattice sums are means from ``spectrum.closed_axis_sum`` over one
+(side, d) group: the midpoint rule averages 1 / sum_i t[h_i] over the
+grid^d "midpoint" lattice, whose points never hit the singular lattice
+images of the origin, and ``interior_sum`` over the "interior" lattice, the
+cycle points with no zero index. A budget counts lattice points, not the
+C(ceil(grid/2) + d - 2, d - 1) folded rows summed, which
+``spectrum.check_lattice`` caps. Those sums run serially. Seeded Monte
+Carlo is the one estimator that uses worker threads; it draws a fixed
+per-block sample stream, so no result depends on the worker count.
 """
 
 from __future__ import annotations
@@ -135,7 +134,7 @@ def check_estimate(d: int, method: str, budget: int, seed: int) -> tuple[int, in
             raise InsufficientBudget(
                 f"budget {budget} allows only a {grid}^{d} midpoint grid; need >= 4 points per side"
             )
-        check_lattice((grid,) * d, midpoint=True)
+        check_lattice([(grid, d)], "midpoint")
     elif method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}")
     return d, budget, seed
@@ -185,17 +184,16 @@ def _riemann_refined(d: int, budget: int) -> IntegralEstimate:
 
 
 def _largest_grid(d: int, budget: int) -> int:
-    grid = max(1, int(round(budget ** (1.0 / d))))
-    while grid**d > budget:
-        grid -= 1
-    while (grid + 1) ** d <= budget:
-        grid += 1
-    return grid
+    """The largest grid with grid^d <= budget, an exact integer d-th root by bisection."""
+    lo, hi = 1, 1 << (budget.bit_length() // d + 1)  # lo^d <= budget < hi^d
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**d <= budget else (lo, mid)
+    return lo
 
 
 def _midpoint_mean(d: int, grid: int) -> float:
-    value, _ = closed_axis_sum((grid,) * d, midpoint=True)
-    return value / grid**d
+    return closed_axis_sum([(grid, d)], "midpoint")[0]
 
 
 def interior_sum(m: int, dims: int, threads: int = 1) -> float:
@@ -214,5 +212,4 @@ def interior_sum(m: int, dims: int, threads: int = 1) -> float:
     if dims < 1:
         raise ValueError(f"dimension must be >= 1, got {dims}")
     check_threads(threads)
-    value, _ = closed_axis_sum((m,) * dims, interior=True)
-    return value / float(m) ** dims
+    return closed_axis_sum([(m, dims)], "interior")[0]

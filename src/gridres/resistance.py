@@ -17,6 +17,7 @@ routes that share no solver.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .spectrum import (
     MAX_ROWS,
     ResistanceResult,
     closed_axis_sum,
-    exact_hypercube_dimension,
     spectral_rave,
     stream_from_eigenvalues,
 )
@@ -60,20 +60,25 @@ def rave_torus(
     counts the N - 1 eigenvalues. threads must be an integer >= 1
     (InvalidFamily otherwise); the sum runs serially and does not use it.
     """
-    dims = Torus(tuple(dims)).dims
+    family = Torus(tuple(dims))
     check_threads(threads)
-    value, err = closed_axis_sum(dims, max_rows=max_terms)
-    n = math.prod(dims)
-    return ResistanceResult(value / n, "spectral", n - 1, err / n)
+    counts: dict[int, int] = {}  # side -> how many sides have that length, in increasing order
+    for side in sorted(family.dims):
+        counts[side] = counts.get(side, 0) + 1
+    value, err = closed_axis_sum(list(counts.items()), max_rows=max_terms)
+    return ResistanceResult(value, "spectral", math.prod(family.dims) - 1, err)
 
 
 def rave_hypercube_binomial(d: int) -> ResistanceResult:
     """Hypercube average resistance via the binomial sum.
 
     Evaluates 2^{-d} * sum_{m=1..d} C(d, m) / (2m) with compensated
-    summation, m descending so the smallest terms enter last.
+    summation, m descending so the smallest terms enter last; Overflow
+    where 2^d leaves the float range (d >= 1024).
     """
-    d = exact_hypercube_dimension(d)
+    d = Hypercube(d).d
+    if d >= sys.float_info.max_exp:
+        raise Overflow(f"2^{d} hypercube nodes leave the float range")
     acc = CompensatedSum()
     for m in range(d, 0, -1):
         acc.add(math.comb(d, m) / (2.0 * m))

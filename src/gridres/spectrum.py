@@ -4,21 +4,23 @@ A ``SpectrumStream`` holds Laplacian eigenvalues with exact int64
 multiplicities: a torus's N sums of one cycle-table entry 4 sin^2(pi k / M_i)
 per side, a hypercube's 2m with multiplicities C(d, m), or a dense eigensolve's.
 
-``closed_axis_sum`` is the fast route for torus lattices: it sums the
-longest side in closed form and folds the other sides by symmetry, one
-weighted row per class of index vectors under mirroring each side and
-permuting equal sides (``folded_rows``). An equal-sided lattice of side M
-in d dimensions then costs C(floor(M/2) + d - 1, d - 1) rows instead of
-M^(d-1). ``rave_torus`` and the continuum sums in ``quadrature`` use it;
-``spectral_rave(torus_spectrum(dims))`` enumerates all N terms and stays
-as the independent check. ``check_lattice`` is their size and range gate.
+``closed_axis_sum`` is the fast route for lattice means. A lattice is its
+(side, count) pairs in increasing side order and a kind in ``LATTICES``:
+"cycle" (a torus's eigenvalues), "midpoint" (the continuum grid's cell
+midpoints) or "interior" (cycle points with no zero index). The longest
+side is summed in closed form and the others fold into one weighted row
+per class of index vectors under mirroring each side and permuting equal
+sides (``folded_rows``): C(floor(M/2) + d - 1, d - 1) rows for side M in d
+dimensions instead of M^(d-1). ``check_lattice`` is its gate; the check is
+``spectral_rave(torus_spectrum(dims))``, which enumerates all N terms.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from itertools import groupby
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -34,6 +36,8 @@ MAX_ROWS = DENSE_LIMIT**2
 # Largest dimension whose binomial multiplicities all stay in the exact
 # 64-bit integer range.
 MAX_EXACT_HYPERCUBE = 63
+LATTICES = ("cycle", "midpoint", "interior")
+_count = itemgetter(1)  # of a (side, count) group
 # Rounding of one weighted row of ``closed_axis_sum`` (two square roots,
 # arcsinh, tanh and four products or quotients, then the product with the
 # row's weight), in units of EPS relative to the weighted row: a
@@ -57,43 +61,50 @@ class ResistanceResult:
     err_bound: float
 
 
-def side_contribution_table(m: int, midpoint: bool = False) -> np.ndarray:
-    """Per-axis contributions t[k] = 4 sin^2(pi x_k) for k in [0, m).
+def side_contribution_table(m: int, lattice: str = "cycle") -> np.ndarray:
+    """Per-axis contributions t[k] = 4 sin^2(pi x_k), k in [0, m), of one side of a lattice.
 
     Cycle points x_k = k/m give the cycle eigenvalues 2 - 2 cos(2 pi k/m);
-    midpoints x_k = (k + 1/2)/m give the continuum grid's cell midpoints,
-    which never hit the lattice images of the origin. The lower half is
+    midpoints x_k = (k + 1/2)/m never hit the lattice images of the origin;
+    interior tables drop the cycle table's k = 0. The lower half is
     ``half_table``; the upper half mirrors it bit-exactly, t[k] == t[m - k]
-    for cycles and t[k] == t[m - 1 - k] for midpoints.
+    at cycle points and t[k] == t[m - 1 - k] at midpoints.
     """
-    lower, _ = half_table(m, midpoint)
-    shift = int(midpoint)
-    table = np.empty(m)
-    table[: lower.size] = lower
-    table[lower.size :] = lower[1 - shift : m + 1 - shift - lower.size][::-1]
-    return table
+    lower, _ = half_table(m, lattice)
+    mirror = lower[1:] if lattice == "cycle" else lower  # k = 0 is its own mirror image
+    return np.concatenate((lower, mirror[: m - (lattice == "interior") - lower.size][::-1]))
 
 
-def half_table(m: int, midpoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct entries of ``side_contribution_table(m, midpoint)`` and their multiplicities.
+def _require_lattice(lattice: str) -> None:
+    if lattice not in LATTICES:
+        raise ValueError(f"unknown lattice kind {lattice!r}; expected one of {LATTICES}")
 
-    Returns t[k] for k up to the mirror point, k <= m/2 at cycle points and
-    k <= (m - 1)/2 at midpoints, and how often each occurs in the full
-    table: twice, except the entries that are their own mirror image, k = 0
-    and k = m/2 (m even) at cycle points and k = (m - 1)/2 (m odd) at
-    midpoints. sin is evaluated on the reduced rational argument, which
-    keeps full relative accuracy for small angles.
+
+def _half_length(m: int, lattice: str) -> int:  # entries of half_table(m, lattice)
+    _require_lattice(lattice)
+    return (m + 2 - (lattice == "midpoint")) // 2 - (lattice == "interior")
+
+
+def half_table(m: int, lattice: str = "cycle") -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of ``side_contribution_table(m, lattice)`` and their multiplicities.
+
+    Returns t[k] for k up to the mirror point, k <= m/2 at cycle points
+    (from k = 1 for interior) and k <= (m - 1)/2 at midpoints, and how often
+    each occurs in the full table: twice, except the entries that are
+    their own mirror image, k = 0 and k = m/2 (m even) at cycle points and
+    k = (m - 1)/2 (m odd) at midpoints. sin is evaluated on the reduced
+    rational argument, which keeps full relative accuracy for small angles.
     """
-    shift = int(midpoint)
-    lower = (m + 2 - shift) // 2
-    k = np.arange(lower, dtype=np.float64)
-    if midpoint:
+    start = int(lattice == "interior")
+    k = np.arange(start, start + _half_length(m, lattice), dtype=np.float64)
+    if lattice == "midpoint":
         k += 0.5
     s = np.sin(np.pi * (k / m))
-    mult = np.full(lower, 2.0)
-    if not midpoint:
+    mult = np.empty(k.size)  # cheaper than np.full on the short tables of a torus sum
+    mult.fill(2.0)
+    if lattice == "cycle":
         mult[0] = 1.0
-    if (m + shift) % 2 == 0:
+    if (m + (lattice == "midpoint")) % 2 == 0:
         mult[-1] = 1.0
     return 4.0 * s * s, mult
 
@@ -158,24 +169,11 @@ def torus_spectrum(dims: list[int] | tuple[int, ...]) -> SpectrumStream:
     return SpectrumStream(values, _unit_multiplicity(n))
 
 
-def exact_hypercube_dimension(d: int) -> int:
-    """``d`` checked as a Hypercube dimension with exact int64 multiplicities.
-
-    Raises InvalidFamily for what ``Hypercube`` refuses and Overflow above
-    MAX_EXACT_HYPERCUBE, where some C(d, m) leaves the exact 64-bit range.
-    """
+def hypercube_spectrum(d: int) -> SpectrumStream:
+    """Spectrum stream of Q_d, (2m, C(d, m)) for m = 0 .. d; Overflow above MAX_EXACT_HYPERCUBE."""
     d = Hypercube(d).d
     if d > MAX_EXACT_HYPERCUBE:
-        raise Overflow(
-            f"binomial multiplicities for d={d} exceed the exact integer range "
-            f"(supported up to d={MAX_EXACT_HYPERCUBE})"
-        )
-    return d
-
-
-def hypercube_spectrum(d: int) -> SpectrumStream:
-    """Spectrum stream of the d-dimensional hypercube: (2m, C(d, m)), m = 0 .. d."""
-    d = exact_hypercube_dimension(d)
+        raise Overflow(f"C({d}, m) leaves the exact int64 range (d <= {MAX_EXACT_HYPERCUBE})")
     multiplicity = np.array([math.comb(d, m) for m in range(d + 1)], dtype=np.int64)
     return SpectrumStream(2.0 * np.arange(d + 1), multiplicity)
 
@@ -207,47 +205,43 @@ def spectral_rave(stream: SpectrumStream) -> ResistanceResult:
 
 
 def folded_rows(
-    sides: Sequence[int], midpoint: bool = False, interior: bool = False
+    groups: Sequence[tuple[int, int]], lattice: str = "cycle"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct row values a = sum_i t_i[h_i] over a lattice, and their weights.
 
-    t_i is ``side_contribution_table(sides[i], midpoint)``, without its
-    k = 0 entry when ``interior``. Mirroring an axis and permuting equal
-    sides leave a unchanged, so each row stands for one class of index
-    vectors h. Every side keeps its ``half_table``, and a group of g equal
-    sides is enumerated as non-decreasing index g-tuples: a tuple's weight
-    is the multinomial g! / prod c_k! of its index counts c_k times the
-    product of the entries' multiplicities. Groups of different sides
-    combine as an outer product, in increasing side order. The weights sum
-    to the number of index vectors; ``folded_row_count`` counts the rows.
-    The all-zero index vector comes first. No sides give the one row a = 0.
+    ``groups`` are (side, count) pairs in increasing side order, and t_i is
+    ``side_contribution_table(side_i, lattice)``. Mirroring an axis and
+    permuting equal sides leave a unchanged, so each row stands for one
+    class of index vectors h. Every side keeps its ``half_table``, and a
+    group of g equal sides is enumerated as non-decreasing index g-tuples:
+    a tuple's weight is the multinomial g! / prod c_k! of its index counts
+    c_k times the product of the entries' multiplicities. Groups combine as
+    an outer product in the given order. The weights sum to the number of
+    index vectors; ``folded_row_count`` counts the rows. The all-zero index
+    vector comes first. No groups give the one row a = 0.
 
     A weight is built by at most one product and one quotient of integers
     per side and one product per further group; products by a
     multiplicity, a power of two, are exact. Every intermediate integer is
-    at most len(sides) times the sum of the weights, so the weights are
+    at most d times the sum of the weights (d sides), so the weights are
     exact while that stays below 2^53. Above it, each weight carries fewer
-    than 2 len(sides) roundings of eps/2.
+    than 2d roundings of eps/2.
     """
-    start = int(interior)
-    groups = []
-    for side, group in groupby(sorted(sides)):
-        values, mult = half_table(side, midpoint)
-        groups.append(_multisets(values[start:], mult[start:], len(list(group))))
-    a, weight = groups[0] if groups else (np.zeros(1), np.ones(1))
-    for group_a, group_weight in groups[1:]:
+    _require_lattice(lattice)
+    folded = []
+    for side, count in groups:
+        folded.append(_multisets(*half_table(side, lattice), count))
+    a, weight = folded[0] if folded else (np.zeros(1), np.ones(1))
+    for group_a, group_weight in folded[1:]:
         a = np.add.outer(a, group_a).ravel()
         weight = np.multiply.outer(weight, group_weight).ravel()
     return a, weight
 
 
-def folded_row_count(sides: Sequence[int], midpoint: bool = False, interior: bool = False) -> int:
-    """Rows of ``folded_rows(sides, midpoint, interior)``, counted without building them."""
-    count = 1
-    for side in set(sides):
-        g = sides.count(side)  # C(c + g - 1, g) rows, c entries in the half table folded_rows uses
-        count *= math.comb((side + 2 - midpoint) // 2 - interior + g - 1, g)
-    return count
+def folded_row_count(groups: Sequence[tuple[int, int]], lattice: str = "cycle") -> int:
+    """Rows of ``folded_rows(groups, lattice)``, counted without building them."""
+    _require_lattice(lattice)  # g equal sides with c half-table entries give C(c + g - 1, g) rows
+    return math.prod(math.comb(_half_length(side, lattice) + g - 1, g) for side, g in groups)
 
 
 def _multisets(values: np.ndarray, mult: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,39 +272,41 @@ def _multisets(values: np.ndarray, mult: np.ndarray, g: int) -> tuple[np.ndarray
 
 
 def check_lattice(
-    dims: Sequence[int], midpoint: bool = False, interior: bool = False, max_rows: int = MAX_ROWS
-) -> tuple[list[int], int]:
-    """Check a lattice for ``closed_axis_sum``; return its other sides, sorted, and its longest.
+    groups: Sequence[tuple[int, int]], lattice: str = "cycle", max_rows: int = MAX_ROWS
+) -> tuple[list[tuple[int, int]], int, int]:
+    """Check a lattice for ``closed_axis_sum``: its other groups, longest side M and exact size N.
 
-    Overflow when N M d leaves the float range (N points, longest side M,
-    d sides), multiplied up only until it does: no two torus nodes are over
-    d M / 2 steps apart, so a cycle or interior sum stays below N M d / 4, a
-    midpoint sum below N M / 4, and ``folded_rows``' integers below N d.
-    SizeExceeded above ``max_rows`` rows of the other sides, counted when
-    their N / M index vectors, which bound the rows, exceed it.
+    ValueError for a kind not in LATTICES. Overflow when N M d leaves the
+    float range (d sides), seen from bit lengths before a power would: no
+    two torus nodes are over d M / 2 steps apart, so a cycle or interior sum
+    is below N M d / 4, a midpoint sum below N M / 4 and ``folded_rows``'
+    integers below N d. SizeExceeded above ``max_rows`` rows of the other
+    sides, counted only when their N / M index vectors (a bound) exceed it.
     """
-    sides = sorted(dims)
-    m = sides.pop()
-    n = m * len(dims)
-    for side in dims:
-        if (n := n * side) > FLOAT_MAX:
-            raise Overflow(f"a sum over this {len(dims)}-sided lattice leaves the float range")
-    if math.prod(sides) > max_rows:
-        rows = folded_row_count(sides, midpoint, interior)
-        if rows > max_rows:
-            raise SizeExceeded(f"{rows} folded rows exceed the cap {max_rows}")
-    return sides, m
+    _require_lattice(lattice)
+    *others, (m, g) = groups
+    if g > 1:
+        others.append((m, g - 1))
+    d = sum(map(_count, groups))
+    n = 1
+    for side, count in groups:
+        past = count > 1 and (side.bit_length() - 1) * count >= sys.float_info.max_exp
+        if past or (n := n * side**count) * m * d > FLOAT_MAX:
+            raise Overflow(f"a sum over this {d}-sided lattice leaves the float range")
+    if n // m > max_rows and (rows := folded_row_count(others, lattice)) > max_rows:
+        raise SizeExceeded(f"{rows} folded rows exceed the cap {max_rows}")
+    return others, m, n
 
 
 def closed_axis_sum(
-    dims: Sequence[int], midpoint: bool = False, interior: bool = False, max_rows: int = MAX_ROWS
+    groups: Sequence[tuple[int, int]], lattice: str = "cycle", max_rows: int = MAX_ROWS
 ) -> tuple[float, float]:
-    """Sum of 1 / sum_i t_i[h_i] over a torus lattice, its longest side in closed form.
+    """Mean of 1 / sum_i t_i[h_i] over a lattice's N index vectors, its longest side in closed form.
 
-    t_i is ``side_contribution_table(dims[i], midpoint)``; cycle tables drop
-    the null mode h = 0, and ``interior`` keeps only h with no zero component.
-    Raises as ``check_lattice``; returns (value, err_bound), the bound
-    covering the summation and every row's evaluation and weighting.
+    ``groups`` are (side, count) pairs in increasing side order, t_i is
+    ``side_contribution_table(side_i, lattice)``, and a cycle lattice drops
+    h = 0. Raises as ``check_lattice``; returns (sum / N, err_bound / N), the
+    bound covering the summation and every row's evaluation and weighting.
 
     The other sides fold into ``folded_rows``. With a row's value
     a = 4 sinh^2(theta / 2), r = sqrt(a (a + 4)) and M the longest side, a
@@ -325,9 +321,10 @@ def closed_axis_sum(
     costs at most a factor 3 in the row's rounding. The weighted rows
     reduce serially over the fixed block partition (``reduce_blocks``).
     """
-    sides, m = check_lattice(dims, midpoint, interior, max_rows)
-    a, weight = folded_rows(sides, midpoint, interior)
-    zero_row = not sides or not (midpoint or interior)
+    others, m, n = check_lattice(groups, lattice, max_rows)
+    a, weight = folded_rows(others, lattice)
+    midpoint, interior = lattice == "midpoint", lattice == "interior"
+    zero_row = not others or lattice == "cycle"
     if zero_row:
         a, weight = a[1:], weight[1:]
 
@@ -346,10 +343,11 @@ def closed_axis_sum(
     acc = reduce_blocks(a.size, rows)
     if zero_row:
         acc.add(m * m / 4.0 if midpoint else (m * m - 1) / 12.0)
-    # a adds len(sides) positive entries, and a row passes the relative
-    # rounding of a on unamplified. Weights round only above 2^53 (see
-    # folded_rows), by fewer than 2 len(sides) units of eps/2.
-    eval_eps = ROW_EVAL_EPS * (3.0 if interior else 1.0) + 0.5 * len(sides)
-    if len(sides) * math.prod(sides) > 2**53:
-        eval_eps += len(sides)
-    return acc.value, acc.err_bound + eval_eps * EPS * acc.abs_sum
+    # a adds d - 1 positive entries, and a row passes the relative rounding
+    # of a on unamplified. Weights round only above 2^53 (see folded_rows),
+    # by fewer than 2 (d - 1) units of eps/2.
+    folded = sum(map(_count, others))
+    eval_eps = ROW_EVAL_EPS * (3.0 if interior else 1.0) + 0.5 * folded
+    if folded * (n // m) > 2**53:
+        eval_eps += folded
+    return acc.value / n, (acc.err_bound + eval_eps * EPS * acc.abs_sum) / n

@@ -1,5 +1,6 @@
 import math
 import os
+import time
 
 import pytest
 
@@ -329,6 +330,14 @@ def test_verify_checks_budgets_before_any_criterion(capsys, monkeypatch):
         code, out, err = run(capsys, "verify", "--suite", suite, "--budget", "10000000000000000")
         assert code == 3 and out == ""
         assert err.startswith("gridres: ") and "folded rows exceed the cap 16777216" in err
+        # Budgets past the float range take an exact integer root: 10^100 folds
+        # to too many rows and 10^400 leaves the float range, each in well under a second.
+        for budget, message in (("1" + "0" * 100, "folded rows exceed the cap"), ("1" + "0" * 400, "float range")):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "verify", "--suite", suite, "--budget", budget)
+            assert time.perf_counter() - start < 1.0
+            assert code == 3 and out == ""
+            assert err.startswith("gridres: ") and message in err
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from gridres import (
     InsufficientBudget,
     IntegralEstimate,
     InvalidFamily,
+    Overflow,
     SingularPoint,
     SizeExceeded,
     estimate_integral,
@@ -116,14 +117,14 @@ def enumerated_mean(tables):
 
 @pytest.mark.parametrize("m,d", [(3, 1), (7, 1), (4, 2), (9, 2), (5, 3), (8, 3), (4, 4), (6, 4)])
 def test_interior_sum_matches_enumeration(m, d):
-    interior = side_contribution_table(m)[1:]
+    interior = side_contribution_table(m, "interior")
     expected = enumerated_mean([interior] * d) * ((m - 1) / m) ** d
     assert abs(interior_sum(m, d) - expected) <= 1e-14 * expected
 
 
 @pytest.mark.parametrize("d,grid", [(1, 5), (1, 8), (2, 7), (3, 6), (3, 11), (4, 5)])
 def test_midpoint_mean_matches_enumeration(d, grid):
-    expected = enumerated_mean([side_contribution_table(grid, midpoint=True)] * d)
+    expected = enumerated_mean([side_contribution_table(grid, "midpoint")] * d)
     assert abs(_midpoint_mean(d, grid) - expected) <= 1e-14 * expected
 
 
@@ -133,11 +134,14 @@ def test_interior_sum_validation():
     with pytest.raises(ValueError):
         interior_sum(5, 0)
     # 1000^4 folds its other three sides to C(502, 3) = 20,833,500 interior
-    # rows, above the 2^24 cap: refused before any row is built.
+    # rows, above the 2^24 cap: refused before any row is built. 3^(10^6)
+    # leaves the float range, refused with no million-long side list.
     tracemalloc.start()
     try:
         with pytest.raises(SizeExceeded):
             interior_sum(1000, 4)
+        with pytest.raises(Overflow):
+            interior_sum(3, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

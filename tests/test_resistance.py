@@ -125,12 +125,14 @@ def test_rave_torus_reaches_large_dimensions():
     assert 0.0 < result.value < rave_torus((32,) * 7).value
 
 
-@pytest.mark.parametrize("d", [3, 14, 40, 100])
+@pytest.mark.parametrize("d", [3, 14, 32, 40, 100])
 def test_torus_of_fours_is_a_hypercube(d):
     # C_4 is Q_2, so the torus (4,)^d is the hypercube Q_{2d}, summed by a
-    # route that shares nothing with the hypercube recursion.
+    # route that shares nothing with the hypercube recursion or binomial sum.
     expected = rave_hypercube_recursive(2 * d).value
-    assert abs(rave_torus((4,) * d).value - expected) <= 1e-14 * expected
+    value = rave_torus((4,) * d).value
+    assert abs(value - expected) <= 1e-14 * expected
+    assert abs(rave_hypercube_binomial(2 * d).value - value) <= 1e-14 * expected
 
 
 @pytest.mark.parametrize("dims", [(4,) * 513, (3,) * 700, (10**200,)], ids=["4^513", "3^700", "1e200"])
@@ -145,8 +147,11 @@ def test_hypercube_binomial_examples():
     assert abs(rave_hypercube_binomial(1).value - 0.25) <= 1e-16
     assert abs(rave_hypercube_binomial(2).value - 5.0 / 16.0) <= 1e-16
     assert abs(rave_hypercube_binomial(3).value - 29.0 / 96.0) <= 1e-15
+    # The binomials are exact Python ints, so d = 64 computes; 2^1024 leaves the float range.
+    expected = rave_hypercube_recursive(64).value
+    assert abs(rave_hypercube_binomial(64).value - expected) <= 1e-14 * expected
     with pytest.raises(Overflow):
-        rave_hypercube_binomial(64)
+        rave_hypercube_binomial(1024)
 
 
 def test_hypercube_recursive_examples():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from gridres import (
     torus_spectrum,
 )
 from gridres.spectrum import (
+    check_lattice,
     closed_axis_sum,
     folded_row_count,
     folded_rows,
@@ -195,7 +197,7 @@ def test_contribution_table_symmetry():
 
 def test_midpoint_table_symmetry():
     for m in (1, 2, 3, 4, 5, 12, 101):
-        table = side_contribution_table(m, midpoint=True)
+        table = side_contribution_table(m, "midpoint")
         for k in range(m):
             assert table[k] == table[m - 1 - k]  # exact mirror
         direct = 4.0 * np.sin(np.pi * (np.arange(m) + 0.5) / m) ** 2
@@ -248,75 +250,105 @@ def test_streams_count_entries_and_nodes():
 
 
 FOLDED_TORI = [(5, 6, 6, 8), (3, 3, 7, 7, 9), (7,) * 5, (4, 4, 9)]
-LATTICES = [
-    pytest.param({}, id="cycle"),
-    pytest.param({"midpoint": True}, id="midpoint"),
-    pytest.param({"interior": True}, id="interior"),
-]
+LATTICES = [pytest.param(kind, id=kind) for kind in spectrum.LATTICES]
 
 
-def _plain_lattice_sum(dims, midpoint=False, interior=False):
-    tables = [side_contribution_table(m, midpoint)[int(interior):] for m in dims]
+def _groups(sides):
+    return sorted(Counter(sides).items())
+
+
+def _plain_lattice_mean(dims, lattice):
+    tables = [side_contribution_table(m, lattice) for m in dims]
     terms = []
     for entries in itertools.product(*tables):
         total = math.fsum(entries)
         if total:
             terms.append(1.0 / total)
-    return math.fsum(terms)
+    return math.fsum(terms) / math.prod(dims)
 
 
 @pytest.mark.parametrize("dims", FOLDED_TORI)
-@pytest.mark.parametrize("kind", LATTICES)
-def test_closed_axis_sum_matches_plain_enumeration(dims, kind):
-    value, err = closed_axis_sum(dims, **kind)
-    assert abs(value - _plain_lattice_sum(dims, **kind)) <= err
+@pytest.mark.parametrize("lattice", LATTICES)
+def test_closed_axis_sum_matches_plain_enumeration(dims, lattice):
+    value, err = closed_axis_sum(_groups(dims), lattice)
+    assert abs(value - _plain_lattice_mean(dims, lattice)) <= err
 
 
 @pytest.mark.parametrize("dims", FOLDED_TORI)
-@pytest.mark.parametrize("kind", LATTICES)
-def test_folded_weights_count_every_index_vector(dims, kind):
+@pytest.mark.parametrize("lattice", LATTICES)
+def test_folded_weights_count_every_index_vector(dims, lattice):
     sides = sorted(dims)[:-1]
-    weights = folded_rows(sides, **kind)[1].tolist()
+    weights = folded_rows(_groups(sides), lattice)[1].tolist()
     assert all(w.is_integer() for w in weights)
-    shrink = int(kind.get("interior", False))
+    shrink = int(lattice == "interior")
     assert sum(int(w) for w in weights) == math.prod(m - shrink for m in sides)
 
 
 def test_half_table_multiplicities():
-    for midpoint in (False, True):
+    for lattice in spectrum.LATTICES:
         for m in (1, 2, 3, 4, 5, 12, 101):
-            values, mult = half_table(m, midpoint)
-            table = side_contribution_table(m, midpoint)
+            values, mult = half_table(m, lattice)
+            table = side_contribution_table(m, lattice)
             assert values.tolist() == table[: values.size].tolist()
             assert mult.tolist() == [table.tolist().count(v) for v in values.tolist()]
+            if lattice == "interior":  # the cycle half table from k = 1, bit for bit
+                assert values.tolist() == half_table(m)[0][1:].tolist()
+                assert table.tolist() == side_contribution_table(m)[1:].tolist()
 
 
 @pytest.mark.parametrize(("dims", "rows"), [((6,) * 8, 120), ((4,) * 10, 55), ((16,) * 5, 495), ((128,) * 3, 2145)])
 def test_folded_row_counts(dims, rows):
     m, d = dims[0], len(dims)
     assert rows == math.comb(m // 2 + d - 1, d - 1)
-    assert folded_rows(dims[1:])[0].size == rows
+    assert folded_rows([(m, d - 1)])[0].size == rows
 
 
 @pytest.mark.parametrize("sides", [(), (5,), (3, 4, 4, 9), (7,) * 5, (1, 2, 6, 6, 6), (12, 12, 13)])
-@pytest.mark.parametrize("kind", [*LATTICES, pytest.param({"midpoint": True, "interior": True}, id="both")])
-def test_folded_row_count_matches_folded_rows(sides, kind):
-    assert folded_row_count(sides, **kind) == folded_rows(sides, **kind)[0].size
+@pytest.mark.parametrize("lattice", [*LATTICES, pytest.param("both", id="both")])
+def test_folded_row_count_matches_folded_rows(sides, lattice):
+    groups = _groups(sides)
+    if lattice == "both":  # midpoint and interior at once is no lattice, even with no sides
+        for fn in (folded_row_count, folded_rows):
+            with pytest.raises(ValueError, match="unknown lattice kind"):
+                fn(groups, lattice)
+        return
+    assert folded_row_count(groups, lattice) == folded_rows(groups, lattice)[0].size
+
+
+def test_unknown_lattice_kind_raises():
+    groups = [(5, 1), (6, 2)]
+    for call in (
+        lambda: half_table(5, "both"),
+        lambda: side_contribution_table(5, "both"),
+        lambda: check_lattice(groups, "both"),
+        lambda: closed_axis_sum(groups, "both"),
+        lambda: closed_axis_sum([(5, 1)], "midpoint interior"),
+    ):
+        with pytest.raises(ValueError, match="unknown lattice kind"):
+            call()
+
+
+def test_check_lattice_splits_off_the_longest_side():
+    assert check_lattice([(3, 1), (5, 2)]) == ([(3, 1), (5, 1)], 5, 75)
+    assert check_lattice([(2, 1), (7, 1)], "interior") == ([(2, 1)], 7, 14)
+    assert check_lattice([(4, 3)], "midpoint") == ([(4, 2)], 4, 64)
+    assert check_lattice([(9, 1)]) == ([], 9, 9)
 
 
 def test_lattice_gate_refuses_before_building_rows(monkeypatch):
     # The 16^100 lattice folds its 99 other sides to C(107, 99) = 3.3e11
     # rows and (4,) * 513 has 2^1026 points: neither may reach folded_rows.
+    # 3^(10^9) is refused before the power is built.
     def forbidden(*args, **kwargs):
         raise AssertionError("folded_rows ran before the gate")
 
     monkeypatch.setattr(spectrum, "folded_rows", forbidden)
-    assert folded_row_count((16,) * 99) == math.comb(107, 99)
+    assert folded_row_count([(16, 99)]) == math.comb(107, 99)
     tracemalloc.start()
     try:
-        for dims, error in (((16,) * 100, SizeExceeded), ((4,) * 513, Overflow)):
+        for groups, error in (([(16, 100)], SizeExceeded), ([(4, 513)], Overflow), ([(3, 10**9)], Overflow)):
             with pytest.raises(error):
-                closed_axis_sum(dims)
+                closed_axis_sum(groups)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -326,7 +358,7 @@ def test_lattice_gate_refuses_before_building_rows(monkeypatch):
 def test_closed_axis_sum_multi_block(monkeypatch):
     # 245,157 folded rows of 32^8; all but the null row reach reduce_blocks,
     # four base blocks folded in block order
-    assert folded_rows((32,) * 7)[0].size == 245157
+    assert folded_rows([(32, 7)])[0].size == 245157
     summed = []
 
     def recording(total, term_fn):
@@ -334,12 +366,12 @@ def test_closed_axis_sum_multi_block(monkeypatch):
         return summation.reduce_blocks(total, term_fn)
 
     monkeypatch.setattr(spectrum, "reduce_blocks", recording)
-    value, err = closed_axis_sum((32,) * 8)
+    value, err = closed_axis_sum([(32, 8)])
     (rows,) = summed
     assert rows.size == 245156
     assert len(summation.block_ranges(rows.size)) == 4
     exact = math.fsum([*rows.tolist(), (32 * 32 - 1) / 12.0])
-    assert abs(value - exact) <= err
+    assert abs(value - exact / 32**8) <= err
 
 
 @pytest.mark.parametrize("dims", [(64, 3, 5), (5, 64, 3)])
@@ -348,14 +380,15 @@ def test_closed_axis_sum_closes_the_longest_side(monkeypatch, dims):
     # the longest side wherever it stands in dims: only 3 and 5 may fold.
     folded = []
 
-    def recording(sides, *args):
-        folded.append(sorted(sides))
-        return folded_rows(sides, *args)
+    def recording(groups, *args):
+        folded.append(list(groups))
+        return folded_rows(groups, *args)
 
     monkeypatch.setattr(spectrum, "folded_rows", recording)
-    for midpoint, interior in ((False, False), (True, False), (False, True)):
-        closed_axis_sum(dims, midpoint, interior)
-    assert folded == [[3, 5]] * 3
+    rave_torus(dims)
+    for lattice in spectrum.LATTICES:
+        closed_axis_sum(_groups(dims), lattice)
+    assert folded == [[(3, 1), (5, 1)]] * 4
 
 
 def test_closed_axis_sum_rounded_weights_inside_bound():
@@ -369,5 +402,5 @@ def test_closed_axis_sum_rounded_weights_inside_bound():
         weight = math.factorial(39) // math.prod(math.factorial(c) for c in counts) * 2 ** counts[1]
         a = Fraction(math.fsum(t[i] for i in combo))
         reference += weight * sum(1 / (a + Fraction(tk)) for tk in t if a + Fraction(tk))
-    value, err = closed_axis_sum((4,) * 40)
-    assert abs(Fraction(value) - reference) <= Fraction(err)
+    value, err = closed_axis_sum([(4, 40)])
+    assert abs(Fraction(value) - reference / 4**40) <= Fraction(err)
