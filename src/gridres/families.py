@@ -9,6 +9,7 @@ dense Laplacian is assembled.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -157,7 +158,9 @@ def family_edges(g: GraphFamily) -> np.ndarray:
         clear = (v & bits) == 0
         return np.stack((np.broadcast_to(v, clear.shape)[clear], (v | bits)[clear]), axis=1)
     if isinstance(g, Explicit):
-        return np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2)
+        flat = itertools.chain.from_iterable(g.edges)
+        edges = np.fromiter(flat, np.intp, 2 * len(g.edges)).reshape(-1, 2)
+        return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
     raise InvalidFamily(f"unknown graph family {type(g).__name__}")
 
 

@@ -14,7 +14,11 @@ Two loops serve two jobs and share no logic:
   loop's matrix-vector calls), against 1-2 ms for the row loop in most
   reads.
 - ``last_pivot`` runs the left-looking Cholesky loop and returns its last
-  pivot, which is all one pairwise resistance needs.
+  pivot, which is all one pairwise resistance needs. Each column is one
+  matrix-vector product, L[j:, :j] L[j, :j], subtracted in place from
+  a[j:, j]: its first entry is the pivot and the rest are the entries
+  below the diagonal, and one division by the pivot's square root
+  finishes the whole column, diagonal included.
 """
 
 from __future__ import annotations
@@ -96,15 +100,14 @@ def last_pivot(matrix: np.ndarray) -> float:
 
     For a Laplacian grounded at one node, eliminating every other kept node
     first (Kron reduction) leaves the last kept node joined to the ground by
-    one edge, and the pivot is that edge's conductance. Raises
-    SingularSystem as the factorization does, and ValueError for an empty
-    matrix, which has no pivot.
+    one edge, and the pivot is that edge's conductance. The pivot is
+    returned as the column step computed it, not as the square of the
+    factor's last diagonal entry. Raises SingularSystem as the
+    factorization does, and ValueError for an empty matrix, which has no
+    pivot.
     """
     _require_square(matrix)
-    if matrix.shape[0] == 0:
-        raise ValueError("an empty matrix has no pivot")
-    d = float(_cholesky(matrix)[-1, -1])
-    return d * d
+    return _cholesky(matrix)[1]
 
 
 def _require_square(matrix: np.ndarray) -> None:
@@ -147,29 +150,26 @@ def _inverse_factor(a: np.ndarray) -> np.ndarray:
     return y
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor of an SPD matrix by left-looking elimination.
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower-triangular factor of an SPD matrix by left-looking elimination, and its last pivot.
 
-    Column j, for j = 0 .. m-1 in order: with r the finished row j of the
-    factor left of the diagonal, the pivot is a[j, j] - r . r, the diagonal
-    is its square root d, and the entries below it become
-    (a[j+1:, j] - L[j+1:, :j] r) / d, updated in place. A pivot at or below
-    the floor raises SingularSystem.
+    Column j, for j = 0 .. m-1 in order, is one matrix-vector product with
+    the finished columns, L[j:, :j] L[j, :j], subtracted in place from
+    a[j:, j]. The column's first entry is then the pivot; one at or below
+    the floor raises SingularSystem. Dividing the whole column, diagonal
+    included, by the pivot's square root finishes it. An empty matrix has
+    no pivot and raises ValueError.
     """
     m = a.shape[0]
     c = np.array(a, dtype=np.float64)
     if m == 0:
-        return c
+        raise ValueError("an empty matrix has no pivot")
     floor = _pivot_floor(c)
     for j in range(m):
-        r = c[j, :j]
-        pivot = float(c[j, j] - r @ r)
+        col = c[j:, j]
+        col -= c[j:, :j] @ c[j, :j]
+        pivot = float(col[0])
         if pivot <= floor:
             raise SingularSystem("grounded system is singular (disconnected graph)")
-        d = math.sqrt(pivot)
-        c[j, j] = d
-        if j + 1 < m:
-            col = c[j + 1 :, j]
-            col -= c[j + 1 :, :j] @ r
-            col /= d
-    return np.tril(c)
+        col /= math.sqrt(pivot)
+    return np.tril(c), pivot

@@ -25,7 +25,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import DivergentIntegral, InsufficientBudget, InvalidFamily, SingularPoint
+from .errors import DivergentIntegral, InsufficientBudget, InvalidFamily, SingularPoint, SizeExceeded
 from .families import require_int
 from .spectrum import check_lattice, closed_axis_sum
 from .summation import (
@@ -39,6 +39,9 @@ from .summation import (
 )
 
 MIN_BUDGET = 10**4
+# Monte Carlo budgets above 2^16 base blocks (2^32 samples) are refused before
+# any block range is built.
+MAX_SAMPLES = 2**16 * BASE_BLOCK
 # Monte Carlo rows drawn and evaluated at a time within a base block, so a
 # worker holds one chunk of samples rather than a block's. Every step is
 # elementwise or row-wise and successive draws continue one Philox stream,
@@ -101,7 +104,9 @@ def estimate_integral(
     at 10^4 samples it misses the integral on 33 of seeds 0-299, against a
     nominal 0.27%. riemann_refined: midpoint rule on the largest grid
     fitting the budget, with the half-resolution grid supplying a
-    deterministic err.
+    deterministic err. A monte_carlo budget above MAX_SAMPLES (2^32)
+    raises SizeExceeded before any sample is drawn or any block range is
+    built; riemann_refined's grid is capped by spectrum.check_lattice.
 
     threads must be an integer >= 1 (InvalidFamily otherwise) for either
     method. Only monte_carlo uses it, as the worker count of
@@ -117,7 +122,8 @@ def estimate_integral(
 def check_estimate(d: int, method: str, budget: int, seed: int) -> tuple[int, int, int]:
     """Raise what estimate_integral would for these arguments, computing nothing.
 
-    Returns d, budget and seed as ints; riemann_refined checks its fine grid with check_lattice.
+    Returns d, budget and seed as ints; riemann_refined checks its fine grid with check_lattice,
+    and monte_carlo its budget against MAX_SAMPLES.
     """
     d = require_int(d, "dimension")
     budget = require_int(budget, "budget")
@@ -135,7 +141,10 @@ def check_estimate(d: int, method: str, budget: int, seed: int) -> tuple[int, in
                 f"budget {budget} allows only a {grid}^{d} midpoint grid; need >= 4 points per side"
             )
         check_lattice([(grid, d)], "midpoint")
-    elif method != "monte_carlo":
+    elif method == "monte_carlo":
+        if budget > MAX_SAMPLES:
+            raise SizeExceeded(f"{budget} Monte Carlo samples exceed the cap {MAX_SAMPLES}")
+    else:
         raise ValueError(f"unknown method {method!r}")
     return d, budget, seed
 

@@ -105,11 +105,13 @@ def pairwise_reff(g: GraphFamily, u: int, v: int) -> float:
     Grounds v and eliminates u last: the Laplacian is permuted so that u and
     then v are its last two nodes, and the grounded system is factored once
     by the left-looking Cholesky loop (``linsolve.last_pivot``; no inverse
-    factor is built). Eliminating every other node (Kron reduction) leaves
-    one edge of conductance 1/R_uv between u and the grounded v, and that
-    conductance is the last Cholesky pivot p, so R_uv = 1/p with no solve.
-    Every node is still eliminated, so a disconnected graph raises
-    DisconnectedGraph wherever the disconnection lies.
+    factor is built). Each column of that loop is one matrix-vector product
+    that yields its pivot and the entries below it together. Eliminating
+    every other node (Kron reduction) leaves one edge of conductance 1/R_uv
+    between u and the grounded v, and that conductance is the last Cholesky
+    pivot p, read as computed, so R_uv = 1/p with no solve. Every node is
+    still eliminated, so a disconnected graph raises DisconnectedGraph
+    wherever the disconnection lies.
     """
     u = require_int(u, "node u")
     v = require_int(v, "node v")

@@ -338,6 +338,10 @@ def test_verify_checks_budgets_before_any_criterion(capsys, monkeypatch):
             assert time.perf_counter() - start < 1.0
             assert code == 3 and out == ""
             assert err.startswith("gridres: ") and message in err
+        # 5e11 passes every midpoint grid check but exceeds the Monte Carlo sample cap.
+        code, out, err = run(capsys, "verify", "--suite", suite, "--budget", "500000000000")
+        assert code == 3 and out == ""
+        assert err == "gridres: 500000000000 Monte Carlo samples exceed the cap 4294967296\n"
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

@@ -86,6 +86,15 @@ def test_ring_edges():
         family_edges(Ring(2))
 
 
+def test_explicit_edges_sorted_lower_endpoint_first():
+    g = Explicit(6, [(5, 0), (2, 1), (0, 3), (4, 2), (1, 0), (3, 5)])
+    edges = family_edges(g)
+    assert edges.dtype == np.intp
+    assert edges.tolist() == [[0, 1], [0, 3], [0, 5], [1, 2], [2, 4], [3, 5]]
+    empty = family_edges(Explicit(3, []))
+    assert empty.shape == (0, 2) and empty.dtype == np.intp
+
+
 def test_torus_edges_degree():
     g = Torus((3, 3))
     degree = {v: 0 for v in range(9)}

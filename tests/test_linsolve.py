@@ -106,6 +106,15 @@ def _cholesky_reference(a):
     """The same column loop with one whole-slice numpy expression per update."""
     c = np.array(a, dtype=np.float64)
     for j in range(c.shape[0]):
+        c[j:, j] = c[j:, j] - c[j:, :j] @ c[j, :j]
+        c[j:, j] = c[j:, j] / np.sqrt(c[j, j])
+    return np.tril(c)
+
+
+def _cholesky_previous(a):
+    """The earlier loop: the pivot from its own dot product, then the column below it."""
+    c = np.array(a, dtype=np.float64)
+    for j in range(c.shape[0]):
         c[j, j] = np.sqrt(c[j, j] - c[j, :j] @ c[j, :j])
         c[j + 1 :, j] = (c[j + 1 :, j] - c[j + 1 :, :j] @ c[j, :j]) / c[j, j]
     return np.tril(c)
@@ -117,7 +126,26 @@ def test_cholesky_bit_identical_to_reference_loop(seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     g = random_connected_graph(rng, max_nodes=40)
     a = build_laplacian(g)[1:, 1:]
-    assert np.array_equal(_cholesky(a), _cholesky_reference(a))
+    factor, pivot = _cholesky(a)
+    assert np.array_equal(factor, _cholesky_reference(a))
+    assert pivot == last_pivot(a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_cholesky_within_rounding_of_previous_loop(seed):
+    # One product per column takes the pivot from the matrix-vector product
+    # and divides the diagonal by its own square root, so the factor may
+    # move by a few rounding errors from the earlier two-expression loop.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    g = random_connected_graph(rng, max_nodes=100)
+    a = build_laplacian(g)[1:, 1:]
+    m = a.shape[0]
+    factor, pivot = _cholesky(a)
+    eps = np.finfo(np.float64).eps
+    assert np.max(np.abs(factor - _cholesky_previous(a))) <= 2 * m * eps * np.max(np.abs(factor))
+    assert np.max(np.abs(factor @ factor.T - a)) <= 2 * m * eps * np.max(np.abs(a))
+    assert abs(pivot - factor[-1, -1] ** 2) <= 2 * m * eps * pivot
 
 
 @settings(max_examples=25, deadline=None)

@@ -19,7 +19,8 @@ from gridres import (
     interior_sum,
     rave_torus,
 )
-from gridres.quadrature import CHUNK_ROWS, _midpoint_mean
+import gridres.quadrature
+from gridres.quadrature import CHUNK_ROWS, MAX_SAMPLES, _midpoint_mean, check_estimate
 from gridres.spectrum import side_contribution_table
 from gridres.summation import BASE_BLOCK, EPS, CompensatedSum, block_ranges, block_sum
 
@@ -177,6 +178,21 @@ def test_interior_sums_decompose_full_average(m, d):
         math.comb(d, k) * interior_sum(m, k) / float(m) ** (d - k) for k in range(1, d + 1)
     )
     assert abs(total - rave_torus([m] * d).value) <= 1e-12
+
+
+def test_monte_carlo_sample_cap(monkeypatch):
+    # 2^32 samples (2^16 base blocks) pass; one more is refused before any
+    # block range is built.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("block ranges built for a refused budget")
+
+    assert MAX_SAMPLES == 2**32 == 2**16 * BASE_BLOCK
+    assert check_estimate(3, "monte_carlo", 2**32, 0) == (3, 2**32, 0)
+    monkeypatch.setattr(gridres.quadrature, "block_ranges", forbidden)
+    with pytest.raises(SizeExceeded, match="Monte Carlo samples exceed the cap"):
+        check_estimate(3, "monte_carlo", 2**32 + 1, 0)
+    with pytest.raises(SizeExceeded):
+        estimate_integral(3, budget=500_000_000_000)
 
 
 def test_quadrature_sizes_must_be_integers():

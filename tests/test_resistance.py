@@ -234,6 +234,28 @@ def test_pairwise_foster_theorem(seed):
     assert abs(total - (g.n - 1)) <= 1e-10 * g.n
 
 
+@pytest.mark.parametrize("m", range(3, 15))
+def test_pairwise_torus_edge_is_exact(m):
+    # Edge-transitive: each of the 2 M^2 edges has R_e = (n - 1) / E.
+    expected = (m * m - 1) / (2 * m * m)
+    assert abs(pairwise_reff(Torus((m, m)), 0, 1) - expected) <= 1e-13 * expected
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_pairwise_hypercube_edge_is_exact(d):
+    # Edge-transitive: each of the d 2^(d-1) edges has R_e = (2^d - 1) / E.
+    expected = (2**d - 1) / (d * 2 ** (d - 1))
+    assert abs(pairwise_reff(Hypercube(d), 0, 1) - expected) <= 1e-13 * expected
+
+
+def test_pairwise_foster_theorem_at_100_nodes():
+    # The benchmark's pairwise graphs have 100 nodes; the hypothesis test stops at 40.
+    g = random_connected_graph(np.random.Generator(np.random.PCG64(292)), max_nodes=100)
+    assert g.n == 100
+    total = math.fsum(pairwise_reff(g, u, v) for u, v in g.edges)
+    assert abs(total - (g.n - 1)) <= 1e-10 * g.n
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_pairwise_matches_green_matrix(seed):
