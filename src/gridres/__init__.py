@@ -47,7 +47,6 @@ from .resistance import (
 )
 from .spectrum import (
     SpectrumStream,
-    hypercube_spectrum,
     spectral_rave,
     stream_from_eigenvalues,
     torus_spectrum,
@@ -88,7 +87,6 @@ __all__ = [
     "estimate_integral",
     "hypercube_ad_direct",
     "hypercube_ad_recursive",
-    "hypercube_spectrum",
     "integrand_f",
     "interior_sum",
     "null_mode_count",

@@ -34,6 +34,19 @@ def require_int(value: object, what: str) -> int:
         raise InvalidFamily(f"{what} must be an integer, got {value!r}") from None
 
 
+def require_positive_int(value: object, what: str) -> int:
+    """``value`` as an int >= 1, or InvalidFamily: the one rule for thread counts and caps.
+
+    A bool is refused as well, so ``True`` is never read as 1.
+    """
+    if isinstance(value, bool):
+        raise InvalidFamily(f"{what} must be an integer, got {value!r}")
+    value = require_int(value, what)
+    if value < 1:
+        raise InvalidFamily(f"{what} must be >= 1, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Ring:
     """Cycle graph on ``m`` nodes; a single isolated node for m = 1.

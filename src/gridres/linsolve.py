@@ -151,14 +151,16 @@ def _inverse_factor(a: np.ndarray) -> np.ndarray:
 
 
 def _cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower-triangular factor of an SPD matrix by left-looking elimination, and its last pivot.
+    """Cholesky factor of an SPD matrix by left-looking elimination, and its last pivot.
 
     Column j, for j = 0 .. m-1 in order, is one matrix-vector product with
     the finished columns, L[j:, :j] L[j, :j], subtracted in place from
     a[j:, j]. The column's first entry is then the pivot; one at or below
     the floor raises SingularSystem. Dividing the whole column, diagonal
-    included, by the pivot's square root finishes it. An empty matrix has
-    no pivot and raises ValueError.
+    included, by the pivot's square root finishes it. The factor is
+    returned in the working array: its lower triangle is L, and the strict
+    upper triangle still holds a's entries. An empty matrix has no pivot
+    and raises ValueError.
     """
     m = a.shape[0]
     c = np.array(a, dtype=np.float64)
@@ -172,4 +174,4 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
         if pivot <= floor:
             raise SingularSystem("grounded system is singular (disconnected graph)")
         col /= math.sqrt(pivot)
-    return np.tril(c), pivot
+    return c, pivot

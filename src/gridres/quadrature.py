@@ -26,7 +26,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .errors import DivergentIntegral, InsufficientBudget, InvalidFamily, SingularPoint, SizeExceeded
-from .families import require_int
+from .families import require_int, require_positive_int
 from .spectrum import check_lattice, closed_axis_sum
 from .summation import (
     BASE_BLOCK,
@@ -34,7 +34,6 @@ from .summation import (
     CompensatedSum,
     block_ranges,
     block_sum,
-    check_threads,
     map_blocks,
 )
 
@@ -113,7 +112,7 @@ def estimate_integral(
     summation.map_blocks; the midpoint sums run serially.
     """
     d, budget, seed = check_estimate(d, method, budget, seed)
-    threads = check_threads(threads)
+    threads = require_positive_int(threads, "threads")
     if method == "monte_carlo":
         return _monte_carlo(d, budget, seed, threads)
     return _riemann_refined(d, budget)
@@ -220,5 +219,5 @@ def interior_sum(m: int, dims: int, threads: int = 1) -> float:
         raise ValueError(f"side length must be >= 3, got {m}")
     if dims < 1:
         raise ValueError(f"dimension must be >= 1, got {dims}")
-    check_threads(threads)
+    require_positive_int(threads, "threads")
     return closed_axis_sum([(m, dims)], "interior")[0]

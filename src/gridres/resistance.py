@@ -23,7 +23,7 @@ import numpy as np
 
 from .eigen import eigenvalues_symmetric
 from .errors import InvalidFamily, Overflow, SizeExceeded
-from .families import Explicit, GraphFamily, Hypercube, Ring, Torus, require_int
+from .families import Explicit, GraphFamily, Hypercube, Ring, Torus, require_int, require_positive_int
 from .laplacian import build_laplacian
 from .linsolve import GroundedSolver, last_pivot
 from .spectrum import (
@@ -33,7 +33,7 @@ from .spectrum import (
     spectral_rave,
     stream_from_eigenvalues,
 )
-from .summation import EPS, FLOAT_MAX, CompensatedSum, block_sum, check_threads
+from .summation import EPS, FLOAT_MAX, CompensatedSum, block_sum
 
 ORACLE_NODE_CAP = 256
 
@@ -57,11 +57,13 @@ def rave_torus(
     Sums (1/N) sum 1/lambda with the longest side in closed form over one
     weighted row per mirror and permutation class of the other sides'
     indices (``closed_axis_sum``), at most ``max_terms`` of them; ``terms``
-    counts the N - 1 eigenvalues. threads must be an integer >= 1
-    (InvalidFamily otherwise); the sum runs serially and does not use it.
+    counts the N - 1 eigenvalues. threads and max_terms must be integers
+    >= 1 (InvalidFamily otherwise); the sum runs serially and does not use
+    threads.
     """
     family = Torus(tuple(dims))
-    check_threads(threads)
+    require_positive_int(threads, "threads")
+    max_terms = require_positive_int(max_terms, "max_terms")
     counts: dict[int, int] = {}  # side -> how many sides have that length, in increasing order
     for side in sorted(family.dims):
         counts[side] = counts.get(side, 0) + 1
@@ -191,9 +193,11 @@ def rave_dense_spectral(g: GraphFamily) -> ResistanceResult:
 def rave(g: GraphFamily, threads: int = 1, max_terms: int = MAX_ROWS) -> ResistanceResult:
     """Average resistance of any family, using the natural method for each.
 
-    threads is checked on every route, although none uses it.
+    threads and max_terms are checked on every route, although none uses
+    threads and only tori use max_terms.
     """
-    check_threads(threads)
+    require_positive_int(threads, "threads")
+    require_positive_int(max_terms, "max_terms")
     if isinstance(g, Ring):
         return rave_ring_exact(g.m)
     if isinstance(g, Torus):

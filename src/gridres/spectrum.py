@@ -1,8 +1,8 @@
-"""Closed-form Laplacian spectra of tori and hypercubes, and spectral averaging.
+"""Closed-form Laplacian spectra of tori, and spectral averaging.
 
-A ``SpectrumStream`` holds Laplacian eigenvalues with exact int64
-multiplicities: a torus's N sums of one cycle-table entry 4 sin^2(pi k / M_i)
-per side, a hypercube's 2m with multiplicities C(d, m), or a dense eigensolve's.
+A ``SpectrumStream`` holds a graph's N Laplacian eigenvalues, one entry
+each: a torus's sums of one cycle-table entry 4 sin^2(pi k / M_i) per side,
+or a dense eigensolve's.
 
 ``closed_axis_sum`` is the fast route for lattice means. A lattice is its
 (side, count) pairs in increasing side order and a kind in ``LATTICES``:
@@ -21,21 +21,18 @@ import math
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .eigen import null_mode_count
 from .errors import DisconnectedSpectrum, Overflow, SizeExceeded
-from .families import Hypercube, Torus
+from .families import Torus
 from .laplacian import DENSE_LIMIT
 from .summation import EPS, FLOAT_MAX, reduce_blocks
 
 # Default cap on folded lattice rows and on torus_spectrum's eigenvalues: 2^24 float64.
 MAX_ROWS = DENSE_LIMIT**2
-# Largest dimension whose binomial multiplicities all stay in the exact
-# 64-bit integer range.
-MAX_EXACT_HYPERCUBE = 63
 LATTICES = ("cycle", "midpoint", "interior")
 _count = itemgetter(1)  # of a (side, count) group
 # Rounding of one weighted row of ``closed_axis_sum`` (two square roots,
@@ -110,46 +107,25 @@ def half_table(m: int, lattice: str = "cycle") -> tuple[np.ndarray, np.ndarray]:
 
 
 class SpectrumStream:
-    """Laplacian eigenvalues ``values`` (float64) with their ``multiplicity`` (exact int64).
+    """Laplacian eigenvalues ``values`` (float64), one entry per eigenvalue, N in all.
 
-    ``values[h]`` counts ``multiplicity[h]`` times. The first
-    ``zero_multiplicity`` entries are the null modes (1 for any connected
-    graph); sums exclude them by index, never by a numeric tolerance.
-    ``count`` is the node count N, the multiplicities' total as a Python
-    int, summed in uint64 and so exact below 2^64 (``hypercube_spectrum(63)``
-    totals 2^63).
+    The first ``zero_multiplicity`` entries are the null modes (1 for any
+    connected graph); sums exclude them by index, never by a numeric
+    tolerance.
     """
 
-    def __init__(
-        self, values: np.ndarray, multiplicity: np.ndarray, zero_multiplicity: int = 1
-    ) -> None:
+    def __init__(self, values: np.ndarray, zero_multiplicity: int = 1) -> None:
         self.values = values
-        self.multiplicity = multiplicity
         self.zero_multiplicity = zero_multiplicity
-        self.count = int(multiplicity.sum(dtype=np.uint64))
-
-    def pairs(self) -> Iterator[tuple[float, int]]:
-        """Yield (eigenvalue, multiplicity) per entry, null modes included.
-
-        The readable view of a stream, for inspection rather than sums: it
-        lists the spectrum in stored order for comparison with a dense
-        eigensolve, and yields multiplicities as exact Python ints.
-        """
-        return zip(self.values.tolist(), self.multiplicity.tolist())
 
     def lambda_block(self, lo: int, hi: int) -> np.ndarray:
         """Eigenvalues at entries [lo, hi)."""
         return self.values[lo:hi]
 
     def inverse_terms(self, lo: int, hi: int) -> np.ndarray:
-        """Summands multiplicity / eigenvalue at the non-null entries in [lo, hi)."""
+        """Summands 1 / eigenvalue at the non-null entries in [lo, hi)."""
         lo = max(lo, self.zero_multiplicity)
-        return self.multiplicity[lo:hi] / self.lambda_block(lo, hi)
-
-
-def _unit_multiplicity(n: int) -> np.ndarray:
-    """n multiplicities of 1, as a read-only view of one int64 rather than n of them."""
-    return np.broadcast_to(np.int64(1), (n,))
+        return 1.0 / self.lambda_block(lo, hi)
 
 
 def torus_spectrum(dims: list[int] | tuple[int, ...]) -> SpectrumStream:
@@ -166,41 +142,32 @@ def torus_spectrum(dims: list[int] | tuple[int, ...]) -> SpectrumStream:
     values = np.zeros(1)
     for m in reversed(family.dims):
         values = np.add.outer(side_contribution_table(m), values).ravel()
-    return SpectrumStream(values, _unit_multiplicity(n))
-
-
-def hypercube_spectrum(d: int) -> SpectrumStream:
-    """Spectrum stream of Q_d, (2m, C(d, m)) for m = 0 .. d; Overflow above MAX_EXACT_HYPERCUBE."""
-    d = Hypercube(d).d
-    if d > MAX_EXACT_HYPERCUBE:
-        raise Overflow(f"C({d}, m) leaves the exact int64 range (d <= {MAX_EXACT_HYPERCUBE})")
-    multiplicity = np.array([math.comb(d, m) for m in range(d + 1)], dtype=np.int64)
-    return SpectrumStream(2.0 * np.arange(d + 1), multiplicity)
+    return SpectrumStream(values)
 
 
 def stream_from_eigenvalues(eigenvalues: np.ndarray) -> SpectrumStream:
-    """Wrap a dense eigensolve result as a stream of sorted eigenvalues, each counted once.
+    """Wrap a dense eigensolve result as a stream of sorted eigenvalues.
 
     Null modes are identified by the |lambda| <= 1e-9 * lambda_max rule;
     connectivity is judged by the caller via zero_multiplicity.
     """
     values = np.sort(np.asarray(eigenvalues, dtype=np.float64))
-    return SpectrumStream(values, _unit_multiplicity(values.size), null_mode_count(values))
+    return SpectrumStream(values, null_mode_count(values))
 
 
 def spectral_rave(stream: SpectrumStream) -> ResistanceResult:
-    """Average effective resistance from a spectrum: (1/N) sum mult/lambda.
+    """Average effective resistance from a spectrum: (1/N) sum 1/lambda.
 
     Uses compensated summation over the fixed block partition of the
-    stream's entries, folded serially in block order. ``terms`` counts the
-    nonzero eigenvalues with multiplicity, N - 1.
+    stream's N entries, folded serially in block order. ``terms`` counts
+    the nonzero eigenvalues, N - 1.
     """
     if stream.zero_multiplicity != 1:
         raise DisconnectedSpectrum(
             f"{stream.zero_multiplicity} zero eigenvalues in the stream; expected 1"
         )
-    n = stream.count
-    acc = reduce_blocks(stream.values.size, stream.inverse_terms)
+    n = stream.values.size
+    acc = reduce_blocks(n, stream.inverse_terms)
     return ResistanceResult(acc.value / n, "spectral", n - 1, acc.err_bound / n)
 
 

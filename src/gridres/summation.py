@@ -13,7 +13,8 @@ saves. map_blocks runs a block function on a thread pool, results in block
 order; seeded Monte Carlo is its one caller. Neither the block contents
 nor the fold order depends on the worker count, so every result is
 bit-identical for any thread count. Every public entry point that takes
-``threads`` checks it with check_threads, also where it is not used.
+``threads`` checks it with ``families.require_positive_int``, also where
+it is not used.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import InvalidFamily
-from .families import require_int
+from .families import require_positive_int
 
 EPS = float(np.finfo(np.float64).eps)
 FLOAT_MAX = float(np.finfo(np.float64).max)
@@ -157,14 +157,6 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def check_threads(threads: object) -> int:
-    """``threads`` as an int >= 1, or InvalidFamily: the one rule for every route."""
-    threads = require_int(threads, "threads")
-    if threads < 1:
-        raise InvalidFamily(f"threads must be >= 1, got {threads}")
-    return threads
-
-
 def map_blocks(
     ranges: Sequence[tuple[int, int]],
     fn: Callable[[int, int], T],
@@ -176,7 +168,7 @@ def map_blocks(
     starts at most one worker per block and per CPU this process may run
     on, so a large thread count costs no extra OS threads.
     """
-    threads = check_threads(threads)
+    threads = require_positive_int(threads, "threads")
     workers = min(threads, len(ranges))
     if workers > 1:
         workers = min(workers, default_threads())

@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -40,7 +41,7 @@ from .resistance import (
     rave_ring_exact,
     rave_torus,
 )
-from .spectrum import hypercube_spectrum, spectral_rave, torus_spectrum
+from .spectrum import spectral_rave, torus_spectrum
 
 ORACLE_REL_TOL = 1e-8
 RING_REL_TOL = 1e-10
@@ -222,6 +223,11 @@ def conjecture_checks() -> list[CheckResult]:
     ]
 
 
+def hypercube_exact(d: int) -> Fraction:
+    """Hypercube average resistance 2^-d sum_{m=1..d} C(d, m) / (2m) as an exact rational."""
+    return Fraction(sum(Fraction(math.comb(d, m), 2 * m) for m in range(1, d + 1)), 2**d)
+
+
 def hypercube_sandwich_checks() -> list[CheckResult]:
     """c7, bounds part: hypercubes inside 1/(2(d+1)) .. 2/(d+1), with no slack."""
     results = []
@@ -233,15 +239,20 @@ def hypercube_sandwich_checks() -> list[CheckResult]:
 
 
 def hypercube_checks() -> list[CheckResult]:
-    """c7, the rest: closed forms against each other and the spectral sum; d R falls towards 1."""
+    """c7, the rest: both closed forms against the exact rational; d R falls towards 1.
+
+    ``hypercube-threeway`` compares the binomial sum and the recursion, each
+    in floating point, with 2^-d sum_m C(d, m) / (2m) in exact rational
+    arithmetic, and reports the larger relative gap, itself computed exactly.
+    """
     results = []
     for d in range(1, 31):
         binom = rave_hypercube_binomial(d).value
         rec = rave_hypercube_recursive(d).value
-        spect = spectral_rave(hypercube_spectrum(d)).value
-        rel = max(abs(binom - rec), abs(binom - spect)) / binom
+        exact = hypercube_exact(d)
+        rel = float(max(abs(Fraction(binom) - exact), abs(Fraction(rec) - exact)) / exact)
         results.append(CheckResult(f"hypercube-threeway:d={d}", rel <= HYPERCUBE_REL_TOL, rel,
-                                   HYPERCUBE_REL_TOL, (binom, rec, spect)))
+                                   HYPERCUBE_REL_TOL, (binom, rec, float(exact))))
     results += [
         _agree(f"growth-coefficient:d={d}", hypercube_ad_recursive(d), hypercube_ad_direct(d),
                HYPERCUBE_REL_TOL)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from gridres import (
     build_laplacian,
     hypercube_ad_direct,
     hypercube_ad_recursive,
-    hypercube_spectrum,
     pairwise_reff,
     rave,
     rave_definition_oracle,
@@ -34,7 +34,7 @@ from gridres import (
     spectral_rave,
     torus_spectrum,
 )
-from gridres.verify import random_connected_graph
+from gridres.verify import hypercube_exact, random_connected_graph
 
 K3 = Explicit(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -62,7 +62,6 @@ def test_closed_forms_reject_non_integer_arguments():
 @pytest.mark.parametrize(
     "entry",
     [
-        hypercube_spectrum,
         rave_hypercube_binomial,
         rave_hypercube_recursive,
         hypercube_ad_direct,
@@ -108,6 +107,18 @@ def test_rave_torus_examples():
     assert abs(rave_torus([3, 3]).value - 2.0 / 9.0) <= 1e-15
     assert abs(rave_torus([4, 4]).value - 103.0 / 384.0) <= 1e-15
     assert abs(rave_torus([4]).value - 5.0 / 16.0) <= 1e-15
+
+
+@pytest.mark.parametrize("max_terms", [None, 2.5, "51", True, 0, -1])
+def test_max_terms_validated(max_terms):
+    # the positive-integer rule that threads follows, on every route of rave
+    families = (Ring(5), Torus((4, 4)), Hypercube(3), Explicit(3, [(0, 1), (1, 2)]))
+    calls = [lambda: rave_torus((4, 4), max_terms=max_terms)]
+    calls += [lambda g=g: rave(g, max_terms=max_terms) for g in families]
+    for call in calls:
+        with pytest.raises(InvalidFamily, match="max_terms"):
+            call()
+    assert rave_torus((4, 4), max_terms=np.int64(3)) == rave_torus((4, 4))  # its 3 folded rows
 
 
 def test_rave_torus_term_cap():
@@ -161,14 +172,18 @@ def test_hypercube_recursive_examples():
     assert rave_hypercube_recursive(3).method == "recursion"
 
 
-@pytest.mark.parametrize("d", list(range(1, 31)) + [45, 63])
+@pytest.mark.parametrize("d", list(range(1, 31)) + [45, 63, 200, 1023])
 def test_hypercube_three_way_agreement(d):
-    binom = rave_hypercube_binomial(d).value
-    rec = rave_hypercube_recursive(d).value
-    assert abs(binom - rec) <= 1e-12 * binom
-    if d <= 30:
-        spect = spectral_rave(hypercube_spectrum(d)).value
-        assert abs(binom - spect) <= 1e-12 * binom
+    # The third side is exact: 2^-d sum C(d, m) / (2m) as a rational, which
+    # the recursion r(k) = r(k-1)/2 + (1 - 2^-k)/(2k) reproduces exactly.
+    exact = hypercube_exact(d)
+    recursion = Fraction(0)
+    for k in range(1, d + 1):
+        recursion = recursion / 2 + (1 - Fraction(1, 2**k)) / (2 * k)
+    assert recursion == exact
+    for route in (rave_hypercube_binomial, rave_hypercube_recursive):
+        result = route(d)
+        assert abs(Fraction(result.value) - exact) <= Fraction(result.err_bound)
 
 
 def test_pairwise_ring_closed_form():

@@ -16,7 +16,7 @@ from gridres import (
     Torus,
     build_laplacian,
     eigenvalues_symmetric,
-    hypercube_spectrum,
+    rave_hypercube_binomial,
     rave_torus,
     spectral_rave,
     spectrum,
@@ -35,10 +35,12 @@ from gridres.spectrum import (
 
 
 def multiset(stream):
-    out = []
-    for lam, mult in stream.pairs():
-        out.extend([lam] * int(mult))
-    return np.sort(np.array(out))
+    return np.sort(stream.values)
+
+
+def hypercube_eigenvalues(d):
+    """Laplacian eigenvalues of Q_d from the closed form: 2m, C(d, m) times, for m = 0 .. d."""
+    return np.repeat(2.0 * np.arange(d + 1), [math.comb(d, m) for m in range(d + 1)])
 
 
 def test_ring3_spectrum():
@@ -62,57 +64,38 @@ def test_row_major_enumeration():
         for h1 in range(3)
         for h2 in range(4)
     ]
-    got = [lam for lam, _ in stream.pairs()]
-    assert np.allclose(got, expected, atol=1e-12)
-
-
-@pytest.mark.parametrize(
-    "d,expected",
-    [
-        (1, [(0.0, 1), (2.0, 1)]),
-        (2, [(0.0, 1), (2.0, 2), (4.0, 1)]),
-        (3, [(0.0, 1), (2.0, 3), (4.0, 3), (6.0, 1)]),
-    ],
-)
-def test_hypercube_spectrum_examples(d, expected):
-    assert list(hypercube_spectrum(d).pairs()) == expected
+    assert np.allclose(stream.values, expected, atol=1e-12)
 
 
 def test_hypercube_overflow():
-    hypercube_spectrum(63)  # largest exact dimension
+    # The binomial route's top dimension: 2^1024 leaves the float range.
+    assert 0.0 < rave_hypercube_binomial(1023).value < rave_hypercube_binomial(1022).value
     with pytest.raises(Overflow):
-        hypercube_spectrum(64)
+        rave_hypercube_binomial(1024)
 
 
 def test_spectrum_invariants():
-    for stream, dims in [
-        (torus_spectrum([5]), 1),
-        (torus_spectrum([3, 4]), 2),
-        (torus_spectrum([3, 3, 3]), 3),
-    ]:
-        mults = sum(m for _, m in stream.pairs())
-        assert mults == stream.count
+    for sides in ([5], [3, 4], [3, 3, 3]):
+        stream = torus_spectrum(sides)
+        assert stream.values.size == math.prod(sides)
         values = multiset(stream)
         assert values[0] == 0.0
         assert np.all(values[1:] > 0.0)
-        assert np.all(values <= 4.0 * dims)
-    hyp = hypercube_spectrum(6)
-    assert sum(m for _, m in hyp.pairs()) == 64
-    assert all(lam == 2.0 * m for m, (lam, _) in enumerate(hyp.pairs()))
+        assert np.all(values <= 4.0 * len(sides))
 
 
 def eigenvalue_total(stream):
-    """Sum of multiplicity * eigenvalue over every entry."""
-    return math.fsum(stream.multiplicity * stream.lambda_block(0, stream.values.size))
+    """Sum of the eigenvalues over every entry."""
+    return math.fsum(stream.lambda_block(0, stream.values.size))
 
 
 def test_eigenvalue_sum_is_twice_edge_count():
     for dims in ([7], [3, 5], [4, 4, 4]):
         stream = torus_spectrum(dims)
-        n, d = stream.count, len(dims)
+        n, d = stream.values.size, len(dims)
         assert abs(eigenvalue_total(stream) - 2.0 * n * d) <= 1e-9 * 2.0 * n * d
     for d in (1, 4, 9):
-        stream = hypercube_spectrum(d)
+        stream = stream_from_eigenvalues(hypercube_eigenvalues(d))
         expected = 2.0 ** d * d
         assert abs(eigenvalue_total(stream) - expected) <= 1e-9 * max(expected, 1.0)
 
@@ -134,13 +117,13 @@ def test_torus_spectrum_matches_dense_eigensolve_big():
 @pytest.mark.parametrize("d", range(1, 8))
 def test_hypercube_spectrum_matches_dense_eigensolve(d):
     dense = eigenvalues_symmetric(build_laplacian(Hypercube(d)))
-    assert np.max(np.abs(multiset(hypercube_spectrum(d)) - dense)) <= 1e-8
+    assert np.max(np.abs(hypercube_eigenvalues(d) - dense)) <= 1e-8
 
 
 @pytest.mark.parametrize("d", [8, 10])
 def test_hypercube_spectrum_matches_dense_eigensolve_big(d):
     dense = eigenvalues_symmetric(build_laplacian(Hypercube(d)))
-    assert np.max(np.abs(multiset(hypercube_spectrum(d)) - dense)) <= 1e-8
+    assert np.max(np.abs(hypercube_eigenvalues(d) - dense)) <= 1e-8
 
 
 def test_spectral_rave_examples():
@@ -148,7 +131,8 @@ def test_spectral_rave_examples():
     # triangle spectrum fed back through the generic stream path
     k3 = stream_from_eigenvalues(np.array([0.0, 3.0, 3.0]))
     assert abs(spectral_rave(k3).value - 2.0 / 9.0) <= 1e-15
-    assert abs(spectral_rave(hypercube_spectrum(2)).value - 5.0 / 16.0) <= 1e-15
+    q2 = stream_from_eigenvalues(hypercube_eigenvalues(2))
+    assert abs(spectral_rave(q2).value - 5.0 / 16.0) <= 1e-15
 
 
 def test_spectral_rave_metadata():
@@ -165,7 +149,7 @@ def test_spectral_rave_multi_block():
     total = stream.values.size
     assert len(summation.block_ranges(total)) == 2
     res = spectral_rave(stream)
-    exact = math.fsum(stream.inverse_terms(0, total).tolist()) / stream.count
+    exact = math.fsum(stream.inverse_terms(0, total).tolist()) / total
     assert abs(res.value - exact) <= res.err_bound
     assert abs(res.value - rave_torus([257, 300]).value) <= 1e-13 * res.value
 
@@ -179,7 +163,8 @@ def test_disconnected_spectrum_rejected():
 
 
 def test_single_node_stream():
-    stream = hypercube_spectrum(0)
+    stream = stream_from_eigenvalues(np.zeros(1))
+    assert stream.zero_multiplicity == 1
     assert spectral_rave(stream).value == 0.0
 
 
@@ -226,26 +211,17 @@ def test_torus_spectrum_size_cap():
         torus_spectrum((4097, 4097))
 
 
-def test_hypercube_spectrum_63_multiplicities_exact():
-    pairs = list(hypercube_spectrum(63).pairs())
-    mults = [mult for _, mult in pairs]
-    assert all(type(mult) is int for mult in mults)
-    assert mults == [math.comb(63, m) for m in range(64)]
-    assert sum(mults) == 2**63
-    assert hypercube_spectrum(63).count == 2**63
-
-
 def test_streams_count_entries_and_nodes():
+    # One entry per eigenvalue: a stream's N is its entry count.
     k4 = eigenvalues_symmetric(build_laplacian(Explicit(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])))
     cases = [
-        (torus_spectrum([3, 4, 5]), 60, 60),
-        (hypercube_spectrum(5), 6, 32),
-        (stream_from_eigenvalues(k4), 4, 4),
+        (torus_spectrum([3, 4, 5]), 60),
+        (stream_from_eigenvalues(hypercube_eigenvalues(5)), 32),
+        (stream_from_eigenvalues(k4), 4),
     ]
-    for stream, entries, n in cases:
-        assert stream.values.size == entries
-        assert stream.count == n
-        assert len(list(stream.pairs())) == entries
+    for stream, n in cases:
+        assert stream.values.size == n
+        assert stream.inverse_terms(0, n).size == n - 1
         assert spectral_rave(stream).terms == n - 1
 
 
