@@ -24,23 +24,20 @@ from .errors import InvalidFamily
 def require_int(value: object, what: str) -> int:
     """``value`` as a Python int, or InvalidFamily if it is not an integer.
 
-    Accepts whatever ``operator.index`` accepts (Python and numpy integers);
-    floats are refused even when integral, so a descriptor is never
-    silently truncated.
+    Accepts whatever ``operator.index`` accepts (Python and numpy integers)
+    except a bool, so ``True`` is never read as 1; floats are refused even
+    when integral, so a descriptor is never silently truncated.
     """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidFamily(f"{what} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidFamily(f"{what} must be an integer, got {value!r}")
 
 
 def require_positive_int(value: object, what: str) -> int:
-    """``value`` as an int >= 1, or InvalidFamily: the one rule for thread counts and caps.
-
-    A bool is refused as well, so ``True`` is never read as 1.
-    """
-    if isinstance(value, bool):
-        raise InvalidFamily(f"{what} must be an integer, got {value!r}")
+    """``value`` as an int >= 1, or InvalidFamily: the one rule for thread counts and caps."""
     value = require_int(value, what)
     if value < 1:
         raise InvalidFamily(f"{what} must be >= 1, got {value}")

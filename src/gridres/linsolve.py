@@ -1,8 +1,11 @@
 """Grounded Laplacian linear solves from in-repo triangular factors.
 
-Grounding one node removes the null mode of a connected graph's Laplacian;
-the remaining (n-1) x (n-1) system A is symmetric positive definite and is
-factored directly, so the electrical oracle depends on no external solver.
+Grounding node 0 removes the null mode of a connected graph's Laplacian:
+the grounded system is the Laplacian without node 0's row and column,
+``lap[1:, 1:]``, an (n-1) x (n-1) symmetric positive definite matrix A that
+is factored directly, so the electrical oracle depends on no external
+solver. ``_grounded`` is the one place that cuts it; a caller that wants
+another node grounded permutes the Laplacian so that node comes first.
 Two loops serve two jobs and share no logic:
 
 - ``GroundedSolver`` builds the inverse Cholesky factor Y = L^-1 one row at
@@ -28,28 +31,16 @@ import math
 import numpy as np
 
 from .errors import SingularSystem
-from .families import require_int
 from .summation import EPS
 
 
 class GroundedSolver:
-    """Inverse Cholesky factor of a Laplacian with one grounded node."""
+    """Inverse Cholesky factor of a Laplacian grounded at node 0."""
 
-    def __init__(self, lap: np.ndarray, ground: int) -> None:
-        _require_square(lap)
-        n = lap.shape[0]
-        ground = require_int(ground, "ground node")
-        if not (0 <= ground < n):
-            raise ValueError(f"ground node {ground} outside [0, {n})")
-        self.n = n
-        self.ground = ground
-        self._keep = np.arange(n) != ground
-        if ground == n - 1:
-            reduced = lap[:-1, :-1]
-        else:
-            reduced = np.delete(np.delete(lap, ground, 0), ground, 1)
-        self._inv = _inverse_factor(reduced)
+    def __init__(self, lap: np.ndarray) -> None:
+        self._inv = _inverse_factor(_grounded(lap))
         self._inv.flags.writeable = False
+        self.n = lap.shape[0]
 
     @property
     def inverse_factor(self) -> np.ndarray:
@@ -61,58 +52,62 @@ class GroundedSolver:
         return self._inv
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Potential vector W with W[ground] = 0 and L W = b off the ground row.
+        """Potential vector W with W[0] = 0 and L W = b off row 0.
 
-        b need not sum to zero: the ground row is dropped, so whatever b
-        lacks is extracted at the ground node, as in the columns of
-        green_matrix.
+        b need not sum to zero: row 0 is dropped, so whatever b lacks is
+        extracted at the ground, node 0, as in the columns of green_matrix.
         """
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.n,):
             raise ValueError(f"b must have shape ({self.n},)")
         y = self._inv
         w = np.zeros(self.n)
-        w[self._keep] = y.T @ (y @ b[self._keep])
+        w[1:] = y.T @ (y @ b[1:])
         return w
 
     def green_matrix(self) -> np.ndarray:
-        """Inverse of the grounded system, embedded n x n with zero ground row/col.
+        """Inverse of the grounded system, embedded n x n with a zero row and column 0.
 
         Column u equals the potential for a unit current injected at u and
-        extracted at the ground node. Built as Y^T Y one row at a time: Y is
-        lower-triangular, so G[j, j:] = Y[j:, j]^T Y[j:, j:], one
-        vector-matrix product, mirrored into column j.
+        extracted at node 0. Built as Y^T Y one row at a time, straight into
+        the block g[1:, 1:]: Y is lower-triangular, so
+        G[j, j:] = Y[j:, j]^T Y[j:, j:], one vector-matrix product, mirrored
+        into column j.
         """
         y = self._inv
-        m = self.n - 1
-        inner = np.empty((m, m))
-        for j in range(m):
+        g = np.zeros((self.n, self.n))
+        inner = g[1:, 1:]
+        for j in range(self.n - 1):
             row = inner[j, j:]
             np.matmul(y[j:, j], y[j:, j:], out=row)
             inner[j:, j] = row
-        g = np.zeros((self.n, self.n))
-        g[np.ix_(self._keep, self._keep)] = inner
         return g
 
 
-def last_pivot(matrix: np.ndarray) -> float:
-    """Last pivot of the Cholesky factorization of an SPD matrix.
+def last_pivot(lap: np.ndarray) -> float:
+    """Last pivot of the Cholesky factorization of a Laplacian grounded at node 0.
 
-    For a Laplacian grounded at one node, eliminating every other kept node
-    first (Kron reduction) leaves the last kept node joined to the ground by
-    one edge, and the pivot is that edge's conductance. The pivot is
-    returned as the column step computed it, not as the square of the
-    factor's last diagonal entry. Raises SingularSystem as the
-    factorization does, and ValueError for an empty matrix, which has no
-    pivot.
+    Eliminating every other kept node first (Kron reduction) leaves the
+    last node joined to the ground, node 0, by one edge, and the pivot is
+    that edge's conductance. The pivot is returned as the column step
+    computed it, not as the square of the factor's last diagonal entry.
+    Raises SingularSystem as the factorization does, and ValueError for a
+    Laplacian of fewer than two nodes, whose grounded system has no pivot.
     """
-    _require_square(matrix)
-    return _cholesky(matrix)[1]
+    return _cholesky(_grounded(lap))[1]
 
 
-def _require_square(matrix: np.ndarray) -> None:
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+def _grounded(lap: np.ndarray) -> np.ndarray:
+    """The grounded system: the square Laplacian without node 0's row and column.
+
+    ValueError for a matrix that is not square, or that is empty and so has
+    no node 0 to ground.
+    """
+    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError("matrix must be square")
+    if lap.shape[0] == 0:
+        raise ValueError("an empty Laplacian has no node to ground")
+    return lap[1:, 1:]
 
 
 def _pivot_floor(a: np.ndarray) -> float:
@@ -152,6 +147,8 @@ def _inverse_factor(a: np.ndarray) -> np.ndarray:
 
 def _cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky factor of an SPD matrix by left-looking elimination, and its last pivot.
+
+    The matrix is a grounded system, ``_grounded(lap)``, in every caller.
 
     Column j, for j = 0 .. m-1 in order, is one matrix-vector product with
     the finished columns, L[j:, :j] L[j, :j], subtracted in place from

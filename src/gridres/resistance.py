@@ -104,16 +104,17 @@ def rave_hypercube_recursive(d: int) -> ResistanceResult:
 def pairwise_reff(g: GraphFamily, u: int, v: int) -> float:
     """Effective resistance between two nodes of a unit-resistor network.
 
-    Grounds v and eliminates u last: the Laplacian is permuted so that u and
-    then v are its last two nodes, and the grounded system is factored once
-    by the left-looking Cholesky loop (``linsolve.last_pivot``; no inverse
-    factor is built). Each column of that loop is one matrix-vector product
-    that yields its pivot and the entries below it together. Eliminating
-    every other node (Kron reduction) leaves one edge of conductance 1/R_uv
-    between u and the grounded v, and that conductance is the last Cholesky
-    pivot p, read as computed, so R_uv = 1/p with no solve. Every node is
-    still eliminated, so a disconnected graph raises DisconnectedGraph
-    wherever the disconnection lies.
+    Grounds v and eliminates u last: the Laplacian is permuted so that v is
+    its first node and u its last, and ``linsolve.last_pivot`` grounds node
+    0 and factors the grounded system once by the left-looking Cholesky
+    loop (no inverse factor is built). Each column of that loop is one
+    matrix-vector product that yields its pivot and the entries below it
+    together. Eliminating every other node (Kron reduction) leaves one edge
+    of conductance 1/R_uv between u and the grounded v, and that
+    conductance is the last Cholesky pivot p, read as computed, so
+    R_uv = 1/p with no solve. Every node is still eliminated, so a
+    disconnected graph raises DisconnectedGraph wherever the disconnection
+    lies.
     """
     u = require_int(u, "node u")
     v = require_int(v, "node v")
@@ -122,9 +123,8 @@ def pairwise_reff(g: GraphFamily, u: int, v: int) -> float:
         raise ValueError("pairwise resistance requires two distinct nodes")
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"nodes ({u}, {v}) outside [0, {n})")
-    order = np.append(np.delete(np.arange(n), (u, v)), (u, v))
-    lap = build_laplacian(g).take(order, 0).take(order, 1)
-    return 1.0 / last_pivot(lap[:-1, :-1])
+    order = np.concatenate(([v], np.delete(np.arange(n), (u, v)), [u]))
+    return 1.0 / last_pivot(build_laplacian(g).take(order, 0).take(order, 1))
 
 
 def rave_definition_oracle(g: GraphFamily) -> ResistanceResult:
@@ -132,16 +132,16 @@ def rave_definition_oracle(g: GraphFamily) -> ResistanceResult:
 
     The definition sums ordered pairs with a 1/(2 N^2) prefactor; the loop
     below covers unordered pairs and doubles, which cancels the factor of
-    two exactly. Pair resistances come from the grounded Green matrix,
-    built as Y^T Y from one inverse Cholesky factor Y.
+    two exactly. Pair resistances come from the Green matrix of the
+    Laplacian grounded at node 0, built as Y^T Y from one inverse Cholesky
+    factor Y.
     """
     n = g.node_count()
     if n > ORACLE_NODE_CAP:
         raise SizeExceeded(f"{n} nodes exceed the oracle cap {ORACLE_NODE_CAP}")
     if n == 1:
         return ResistanceResult(0.0, "oracle_definition", 0, 0.0)
-    lap = build_laplacian(g)
-    green = GroundedSolver(lap, ground=0).green_matrix()
+    green = GroundedSolver(build_laplacian(g)).green_matrix()
     diag = np.diag(green)
     pair_reff = diag[:, None] + diag[None, :] - green - green.T
     iu = np.triu_indices(n, k=1)
@@ -168,7 +168,7 @@ def _rave_green_trace(g: GraphFamily) -> ResistanceResult:
     it.
     """
     n = g.node_count()
-    y = GroundedSolver(build_laplacian(g), ground=0).inverse_factor
+    y = GroundedSolver(build_laplacian(g)).inverse_factor
     trace = block_sum(y * y)
     rows = y.sum(axis=1)
     total = block_sum(rows * rows)

@@ -48,27 +48,31 @@ def test_explicit_validation():
 
 
 def test_ring_rejects_non_integer_length():
-    with pytest.raises(InvalidFamily, match="integer"):
-        Ring(4.0)
+    for bad in (4.0, True):
+        with pytest.raises(InvalidFamily, match="integer"):
+            Ring(bad)
     assert Ring(np.int64(5)).m == 5
 
 
 def test_torus_rejects_non_integer_sides():
     # int() would truncate 4.7 and silently describe the 4 x 5 torus
-    with pytest.raises(InvalidFamily, match="integer"):
-        Torus((4.7, 5))
+    for bad in ((4.7, 5), (4, True)):
+        with pytest.raises(InvalidFamily, match="integer"):
+            Torus(bad)
     assert Torus((np.int32(4), 5)).dims == (4, 5)
 
 
 def test_hypercube_rejects_non_integer_dimension():
-    with pytest.raises(InvalidFamily, match="integer"):
-        Hypercube(2.5)
+    for bad in (2.5, True):
+        with pytest.raises(InvalidFamily, match="integer"):
+            Hypercube(bad)
     assert Hypercube(np.uint8(3)).node_count() == 8
 
 
 def test_explicit_rejects_non_integer_nodes():
-    with pytest.raises(InvalidFamily, match="integer"):
-        Explicit(3.9, [(0, 1)])
+    for bad in (3.9, True):
+        with pytest.raises(InvalidFamily, match="integer"):
+            Explicit(bad, [(0, 1)])
     with pytest.raises(InvalidFamily, match="integer"):
         Explicit(3, [(0, 1.5)])
     assert Explicit(np.int64(3), [(np.int64(0), 1)]).n == 3

@@ -7,7 +7,6 @@ from gridres import (
     DisconnectedGraph,
     Explicit,
     GroundedSolver,
-    InvalidFamily,
     Ring,
     SingularSystem,
     build_laplacian,
@@ -21,62 +20,70 @@ from gridres.verify import random_connected_graph
 K3 = Explicit(3, [(0, 1), (1, 2), (0, 2)])
 
 
+def _ground_first(lap, ground):
+    """The Laplacian relabelled so that node ``ground`` is node 0, and the new order."""
+    order = np.concatenate(([ground], np.delete(np.arange(lap.shape[0]), ground)))
+    return lap[np.ix_(order, order)], order
+
+
 def test_single_resistor():
     lap = build_laplacian(Explicit(2, [(0, 1)]))
-    w = GroundedSolver(lap, ground=1).solve(np.array([1.0, -1.0]))
-    assert np.allclose(w, [1.0, 0.0], atol=1e-12)
+    w = GroundedSolver(lap).solve(np.array([-1.0, 1.0]))
+    assert np.allclose(w, [0.0, 1.0], atol=1e-12)
 
 
 def test_triangle_potential():
     lap = build_laplacian(K3)
-    w = GroundedSolver(lap, ground=2).solve(np.array([1.0, -1.0, 0.0]))
-    assert w[2] == 0.0
-    assert abs((w[0] - w[1]) - 2.0 / 3.0) <= 1e-12
+    w = GroundedSolver(lap).solve(np.array([0.0, 1.0, -1.0]))
+    assert w[0] == 0.0
+    assert abs((w[1] - w[2]) - 2.0 / 3.0) <= 1e-12
 
 
 def test_ring4_parallel_paths():
     lap = build_laplacian(Ring(4))
-    w = GroundedSolver(lap, ground=2).solve(np.array([1.0, 0.0, -1.0, 0.0]))
-    assert abs((w[0] - w[2]) - 1.0) <= 1e-12
+    w = GroundedSolver(lap).solve(np.array([-1.0, 0.0, 1.0, 0.0]))
+    assert abs((w[2] - w[0]) - 1.0) <= 1e-12
 
 
 def test_disconnected_graph_is_singular():
     lap = build_laplacian(Explicit(4, [(0, 1), (2, 3)]))
     with pytest.raises(SingularSystem):
-        GroundedSolver(lap, ground=0).solve(np.array([1.0, -1.0, 0.0, 0.0]))
+        GroundedSolver(lap).solve(np.array([1.0, -1.0, 0.0, 0.0]))
     assert issubclass(SingularSystem, DisconnectedGraph)
 
 
 def test_ground_node_validation():
+    # Node 0 is the ground: no ground argument is taken, and an empty
+    # Laplacian, which has no node 0, is refused.
     lap = build_laplacian(K3)
-    with pytest.raises(InvalidFamily, match="integer"):
-        GroundedSolver(lap, 1.0)
-    with pytest.raises(ValueError):
-        GroundedSolver(lap, 3)
-    assert GroundedSolver(lap, np.int64(2)).ground == 2
+    with pytest.raises(TypeError):
+        GroundedSolver(lap, 0)
+    for entry in (GroundedSolver, last_pivot):
+        with pytest.raises(ValueError, match="no node to ground"):
+            entry(np.zeros((0, 0)))
+    assert GroundedSolver(build_laplacian(Explicit(1, []))).green_matrix().shape == (1, 1)
 
 
 def test_matrix_must_be_square():
     for bad in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))):
-        with pytest.raises(ValueError, match="square"):
-            GroundedSolver(bad, 0)
+        for entry in (GroundedSolver, last_pivot):
+            with pytest.raises(ValueError, match="square"):
+                entry(bad)
 
 
 def test_last_pivot_is_the_kron_reduced_conductance():
-    # Ground node 3 of a 4-ring: node 2, eliminated last, sees two paths of
+    # Ground node 0 of a 4-ring: node 3, eliminated last, sees two paths of
     # one and three resistors in parallel, a conductance of 1 + 1/3.
-    assert abs(last_pivot(build_laplacian(Ring(4))[:-1, :-1]) - 4.0 / 3.0) <= 1e-15
-    with pytest.raises(ValueError):
-        last_pivot(build_laplacian(Explicit(1, []))[:-1, :-1])
-    with pytest.raises(ValueError, match="square"):
-        last_pivot(np.zeros((2, 3)))
+    assert abs(last_pivot(build_laplacian(Ring(4))) - 4.0 / 3.0) <= 1e-15
+    with pytest.raises(ValueError, match="no pivot"):
+        last_pivot(build_laplacian(Explicit(1, [])))
     with pytest.raises(SingularSystem):
-        last_pivot(build_laplacian(Explicit(3, [(0, 1)]))[:-1, :-1])
+        last_pivot(build_laplacian(Explicit(3, [(0, 1)])))
 
 
 def test_green_matrix_matches_column_solves():
     lap = build_laplacian(Ring(5))
-    solver = GroundedSolver(lap, ground=0)
+    solver = GroundedSolver(lap)
     green = solver.green_matrix()
     for u in (1, 3):
         b = np.zeros(5)
@@ -96,8 +103,10 @@ def test_residual_invariant(seed):
     v = int(rng.integers(u + 1, g.n))
     b[u], b[v] = 1.0, -1.0
     ground = int(rng.integers(0, g.n))
-    w = GroundedSolver(lap, ground).solve(b)
-    assert w[ground] == 0.0
+    lap, order = _ground_first(lap, ground)
+    b = b[order]
+    w = GroundedSolver(lap).solve(b)
+    assert w[0] == 0.0
     residual = float(np.max(np.abs(lap @ w - b)))
     assert residual <= 1e-9 * float(np.max(np.abs(b)))
 
@@ -125,11 +134,12 @@ def _cholesky_previous(a):
 def test_cholesky_bit_identical_to_reference_loop(seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     g = random_connected_graph(rng, max_nodes=40)
-    a = build_laplacian(g)[1:, 1:]
+    lap = build_laplacian(g)
+    a = lap[1:, 1:]
     work, pivot = _cholesky(a)
     factor = np.tril(work)  # the working array's lower triangle is the factor
     assert np.array_equal(factor, _cholesky_reference(a))
-    assert pivot == last_pivot(a)
+    assert pivot == last_pivot(lap)
 
 
 @settings(max_examples=25, deadline=None)
@@ -157,7 +167,7 @@ def test_inverse_factor_invariants(seed):
     g = random_connected_graph(rng, max_nodes=100)
     lap = build_laplacian(g)
     ground = int(rng.integers(0, g.n))
-    y = GroundedSolver(lap, ground).inverse_factor
+    y = GroundedSolver(_ground_first(lap, ground)[0]).inverse_factor
     a = np.delete(np.delete(lap, ground, 0), ground, 1)
     m = g.n - 1
     assert y.shape == (m, m)
@@ -177,11 +187,11 @@ def test_green_matrix_inverts_the_grounded_system(seed):
     g = random_connected_graph(rng, max_nodes=100)
     lap = build_laplacian(g)
     ground = int(rng.integers(0, g.n))
-    green = GroundedSolver(lap, ground).green_matrix()
-    keep = np.arange(g.n) != ground
+    lap = _ground_first(lap, ground)[0]
+    green = GroundedSolver(lap).green_matrix()
     assert np.array_equal(green, green.T)
-    assert not green[ground].any()
-    assert np.max(np.abs(lap[keep] @ green[:, keep] - np.eye(g.n - 1))) <= 1e-12
+    assert not green[0].any()
+    assert np.max(np.abs(lap[1:] @ green[:, 1:] - np.eye(g.n - 1))) <= 1e-12
 
 
 @pytest.mark.parametrize("isolated", [0, 2, 4])
@@ -197,8 +207,9 @@ def test_isolated_node_is_disconnected(isolated):
     with pytest.raises(DisconnectedGraph):
         rave_definition_oracle(g)
     for ground in range(5):
+        lap, order = _ground_first(build_laplacian(g), ground)
         with pytest.raises(DisconnectedGraph):
-            GroundedSolver(build_laplacian(g), ground).solve(b)
+            GroundedSolver(lap).solve(b[order])
 
 
 def test_dense_routes_call_no_np_linalg(monkeypatch):
@@ -216,5 +227,5 @@ def test_dense_routes_call_no_np_linalg(monkeypatch):
     assert rave(g).value > 0.0
     assert rave_definition_oracle(g).value > 0.0
     assert pairwise_reff(g, 0, g.n - 1) > 0.0
-    assert GroundedSolver(lap, 1).solve(b)[1] == 0.0
-    assert GroundedSolver(lap, 0).green_matrix().shape == (g.n, g.n)
+    assert GroundedSolver(lap).solve(b)[0] == 0.0
+    assert GroundedSolver(lap).green_matrix().shape == (g.n, g.n)

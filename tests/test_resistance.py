@@ -213,6 +213,10 @@ def test_pairwise_rejects_non_integer_nodes():
         pairwise_reff(path, 1.5, 0)
     with pytest.raises(InvalidFamily, match="integer"):
         pairwise_reff(path, 0, 2.0)
+    with pytest.raises(InvalidFamily, match="integer"):
+        pairwise_reff(path, True, 0)
+    with pytest.raises(InvalidFamily, match="integer"):
+        pairwise_reff(path, 0, True)
     assert pairwise_reff(path, np.int64(0), np.int64(2)) == pairwise_reff(path, 0, 2)
 
 
@@ -275,12 +279,14 @@ def test_pairwise_foster_theorem_at_100_nodes():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_pairwise_matches_green_matrix(seed):
     # Grounding node 0 and solving for every column shares neither the
-    # elimination order nor the pivot read-off with pairwise_reff.
+    # elimination order nor the pivot read-off with pairwise_reff. The fixed
+    # pairs are the end cases of its order, v first and u last: (n - 1, 0)
+    # keeps the node order, and (0, n - 1) and (0, 1) move both ends.
     rng = np.random.Generator(np.random.PCG64(seed))
     g = random_connected_graph(rng, max_nodes=40)
-    green = GroundedSolver(build_laplacian(g), 0).green_matrix()
-    for _ in range(5):
-        u, v = (int(x) for x in rng.choice(g.n, size=2, replace=False))
+    green = GroundedSolver(build_laplacian(g)).green_matrix()
+    drawn = [tuple(int(x) for x in rng.choice(g.n, size=2, replace=False)) for _ in range(5)]
+    for u, v in [(0, g.n - 1), (g.n - 1, 0), (0, 1), *drawn]:
         expected = green[u, u] + green[v, v] - 2.0 * green[u, v]
         assert abs(pairwise_reff(g, u, v) - expected) <= 1e-12 * expected
 
