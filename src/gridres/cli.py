@@ -21,12 +21,12 @@ from .bounds import bounds_hypercube, bounds_torus2, bounds_torusd
 from .errors import GridResError, InsufficientData
 from .families import GraphFamily, Hypercube, Ring, Torus, read_edge_list
 from .resistance import (
-    MAX_ROWS,
     hypercube_ad_direct,
     hypercube_ad_recursive,
     rave,
     rave_hypercube_binomial,
 )
+from .spectrum import MAX_ROWS
 from .summation import default_threads
 from .verify import SUITES, criteria, least_squares_slope
 

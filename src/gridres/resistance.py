@@ -33,7 +33,7 @@ from .spectrum import (
     spectral_rave,
     stream_from_eigenvalues,
 )
-from .summation import EPS, FLOAT_MAX, CompensatedSum, block_sum
+from .summation import EPS, FLOAT_MAX, block_sum
 
 ORACLE_NODE_CAP = 256
 
@@ -74,16 +74,14 @@ def rave_torus(
 def rave_hypercube_binomial(d: int) -> ResistanceResult:
     """Hypercube average resistance via the binomial sum.
 
-    Evaluates 2^{-d} * sum_{m=1..d} C(d, m) / (2m) with compensated
-    summation, m descending so the smallest terms enter last; Overflow
-    where 2^d leaves the float range (d >= 1024).
+    Evaluates 2^{-d} * sum_{m=1..d} C(d, m) / (2m) by ``block_sum``, each
+    term rounded once from the exact integer C(d, m); Overflow where 2^d
+    leaves the float range (d >= 1024).
     """
     d = Hypercube(d).d
     if d >= sys.float_info.max_exp:
         raise Overflow(f"2^{d} hypercube nodes leave the float range")
-    acc = CompensatedSum()
-    for m in range(d, 0, -1):
-        acc.add(math.comb(d, m) / (2.0 * m))
+    acc = block_sum(np.array([math.comb(d, m) / (2.0 * m) for m in range(d, 0, -1)]))
     scale = float(2**d)
     return ResistanceResult(acc.value / scale, "closed_form", d, acc.err_bound / scale)
 
@@ -130,26 +128,20 @@ def pairwise_reff(g: GraphFamily, u: int, v: int) -> float:
 def rave_definition_oracle(g: GraphFamily) -> ResistanceResult:
     """Definition-based oracle: all-pairs effective resistances, averaged.
 
-    The definition sums ordered pairs with a 1/(2 N^2) prefactor; the loop
-    below covers unordered pairs and doubles, which cancels the factor of
-    two exactly. Pair resistances come from the Green matrix of the
-    Laplacian grounded at node 0, built as Y^T Y from one inverse Cholesky
-    factor Y.
+    R_ave is the sum of the N(N-1)/2 unordered pair resistances over N^2
+    (the definition's 1/(2 N^2) over ordered pairs), one ``block_sum``. The
+    pairs come from the Green matrix of the Laplacian grounded at node 0,
+    G = Y^T Y for one inverse Cholesky factor Y. err_bound is that sum's
+    bound over N^2: it covers the pair sum, not the rounding of G.
     """
     n = g.node_count()
     if n > ORACLE_NODE_CAP:
         raise SizeExceeded(f"{n} nodes exceed the oracle cap {ORACLE_NODE_CAP}")
-    if n == 1:
-        return ResistanceResult(0.0, "oracle_definition", 0, 0.0)
     green = GroundedSolver(build_laplacian(g)).green_matrix()
     diag = np.diag(green)
     pair_reff = diag[:, None] + diag[None, :] - green - green.T
-    iu = np.triu_indices(n, k=1)
-    unordered = pair_reff[iu]
-    total = 2.0 * float(np.sum(unordered))
-    value = total / (2.0 * n * n)
-    err = 2.0 * EPS * 2.0 * float(np.sum(np.abs(unordered))) / (2.0 * n * n)
-    return ResistanceResult(value, "oracle_definition", n * (n - 1) // 2, err)
+    acc = block_sum(pair_reff[np.triu_indices(n, k=1)])
+    return ResistanceResult(acc.value / n**2, "oracle_definition", n * (n - 1) // 2, acc.err_bound / n**2)
 
 
 def _rave_green_trace(g: GraphFamily) -> ResistanceResult:
@@ -216,14 +208,10 @@ def hypercube_ad_direct(d: int) -> float:
     tends to 1, certifying that d times the average resistance does too.
     """
     d = Hypercube(d).d
-    if d == 0:
-        return 0.0
     # Scale each term by 2^{-(d+1)} before summing, so no term leaves the
     # float range however large d is.
-    acc = CompensatedSum()
-    for i in range(1, d + 1):
-        acc.add(2.0 ** (i - d - 1) / i)
-    return d * acc.value
+    i = np.arange(1, d + 1)
+    return d * block_sum(np.ldexp(1.0, i - d - 1) / i).value
 
 
 def hypercube_ad_recursive(d: int) -> float:

@@ -28,11 +28,10 @@ import numpy as np
 from .eigen import null_mode_count
 from .errors import DisconnectedSpectrum, Overflow, SizeExceeded
 from .families import Torus
-from .laplacian import DENSE_LIMIT
 from .summation import EPS, FLOAT_MAX, reduce_blocks
 
 # Default cap on folded lattice rows and on torus_spectrum's eigenvalues: 2^24 float64.
-MAX_ROWS = DENSE_LIMIT**2
+MAX_ROWS = 2**24
 LATTICES = ("cycle", "midpoint", "interior")
 _count = itemgetter(1)  # of a (side, count) group
 # Rounding of one weighted row of ``closed_axis_sum`` (two square roots,

@@ -5,7 +5,9 @@ of the index space into base blocks of BASE_BLOCK items. Within a block,
 block_sum splits each value by error-free extraction into a high part,
 whose sum is exact in any order, and a low part, summed plainly; both
 steps are fixed numpy passes over the block. Across blocks, the block
-partials are folded in block order.
+partials are folded in block order. block_sum sums every float series in
+the package; CompensatedSum.add is the scalar step for closed_axis_sum's
+single closed-form row, where a block_sum call costs more than the row.
 
 reduce_blocks folds the blocks of a lattice sum serially: a folded torus
 sum fits in one or a few blocks, where a thread pool costs more than it
@@ -143,11 +145,11 @@ def _extract_sum(s: np.ndarray) -> CompensatedSum:
     return acc
 
 
-def block_ranges(total: int, block: int = BASE_BLOCK) -> list[tuple[int, int]]:
+def block_ranges(total: int) -> list[tuple[int, int]]:
     """Partition [0, total) into the fixed base-block ranges."""
     if total <= 0:
         return []
-    return [(lo, min(lo + block, total)) for lo in range(0, total, block)]
+    return [(lo, min(lo + BASE_BLOCK, total)) for lo in range(0, total, BASE_BLOCK)]
 
 
 def default_threads() -> int:

@@ -101,7 +101,7 @@ def random_connected_graph(rng: np.random.Generator, max_nodes: int = 50) -> Exp
     return Explicit(n, edges)
 
 
-def small_family_set(seed: int = 42, graphs: int = 50) -> list[GraphFamily]:
+def small_family_set(seed: int = 42) -> list[GraphFamily]:
     """The desk-scale cross-validation set: tori, hypercubes, random graphs."""
     families: list[GraphFamily] = []
     for m1 in range(3, 15):
@@ -110,7 +110,7 @@ def small_family_set(seed: int = 42, graphs: int = 50) -> list[GraphFamily]:
                 families.append(Torus((m1, m2)))
     families.extend(Hypercube(d) for d in range(1, 8))
     rng = np.random.Generator(np.random.PCG64(seed))
-    families.extend(random_connected_graph(rng) for _ in range(graphs))
+    families.extend(random_connected_graph(rng) for _ in range(50))
     return families
 
 

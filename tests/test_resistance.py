@@ -34,7 +34,7 @@ from gridres import (
     spectral_rave,
     torus_spectrum,
 )
-from gridres.verify import hypercube_exact, random_connected_graph
+from gridres.verify import hypercube_exact, random_connected_graph, small_family_set
 
 K3 = Explicit(3, [(0, 1), (1, 2), (0, 2)])
 
@@ -326,6 +326,21 @@ def test_oracle_vs_spectral_sample():
         spectral = rave(family).value
         oracle = rave_definition_oracle(family).value
         assert abs(spectral - oracle) <= 1e-8 * oracle
+
+
+def test_oracle_band_holds_against_its_exact_pair_sum():
+    # The band covers the pair sum: rebuild the oracle's own pair resistances
+    # from the Green matrix and sum them exactly. The set opens with the
+    # 3 x 3 torus, whose 36 pairs a plain float sum leaves 1.045 bands off.
+    for family in small_family_set(42):
+        n = family.node_count()
+        green = GroundedSolver(build_laplacian(family)).green_matrix()
+        diag = np.diag(green)
+        pair_reff = diag[:, None] + diag[None, :] - green - green.T
+        pairs = pair_reff[np.triu_indices(n, k=1)].tolist()
+        exact = sum(map(Fraction, pairs), Fraction(0)) / (n * n)
+        result = rave_definition_oracle(family)
+        assert abs(Fraction(result.value) - exact) <= Fraction(result.err_bound), family
 
 
 def test_single_node_values_are_zero():
