@@ -102,17 +102,18 @@ def rave_hypercube_recursive(d: int) -> ResistanceResult:
 def pairwise_reff(g: GraphFamily, u: int, v: int) -> float:
     """Effective resistance between two nodes of a unit-resistor network.
 
-    Grounds v and eliminates u last: the Laplacian is permuted so that v is
-    its first node and u its last, and ``linsolve.last_pivot`` grounds node
-    0 and factors the grounded system once by the left-looking Cholesky
-    loop (no inverse factor is built). Each column of that loop is one
-    matrix-vector product that yields its pivot and the entries below it
-    together. Eliminating every other node (Kron reduction) leaves one edge
-    of conductance 1/R_uv between u and the grounded v, and that
-    conductance is the last Cholesky pivot p, read as computed, so
-    R_uv = 1/p with no solve. Every node is still eliminated, so a
-    disconnected graph raises DisconnectedGraph wherever the disconnection
-    lies.
+    Grounds v and eliminates u last: the Laplacian is assembled with v as
+    its first node and u as its last (``build_laplacian``'s ``order``
+    relabels the edge array, so no matrix is permuted), and
+    ``linsolve.last_pivot`` grounds node 0 and factors the grounded system
+    once by the left-looking Cholesky loop (no inverse factor is built).
+    Each column of that loop is one matrix-vector product that yields its
+    pivot and the entries below it together. Eliminating every other node
+    (Kron reduction) leaves one edge of conductance 1/R_uv between u and
+    the grounded v, and that conductance is the last Cholesky pivot p,
+    read as computed, so R_uv = 1/p with no solve. Every node is still
+    eliminated, so a disconnected graph raises DisconnectedGraph wherever
+    the disconnection lies.
     """
     u = require_int(u, "node u")
     v = require_int(v, "node v")
@@ -121,8 +122,7 @@ def pairwise_reff(g: GraphFamily, u: int, v: int) -> float:
         raise ValueError("pairwise resistance requires two distinct nodes")
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"nodes ({u}, {v}) outside [0, {n})")
-    order = np.concatenate(([v], np.delete(np.arange(n), (u, v)), [u]))
-    return 1.0 / last_pivot(build_laplacian(g).take(order, 0).take(order, 1))
+    return 1.0 / last_pivot(build_laplacian(g, order=(v, u)))
 
 
 def rave_definition_oracle(g: GraphFamily) -> ResistanceResult:

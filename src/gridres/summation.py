@@ -1,10 +1,11 @@
 """Compensated summation over fixed base blocks with ordered reduction.
 
 Every large reduction in the package is organized around a fixed partition
-of the index space into base blocks of BASE_BLOCK items. Within a block,
-block_sum splits each value by error-free extraction into a high part,
-whose sum is exact in any order, and a low part, summed plainly; both
-steps are fixed numpy passes over the block. Across blocks, the block
+of the index space into base blocks of BASE_BLOCK items. block_sum sums a
+series of at most SHORT values with math.fsum, correctly rounded. Within a
+longer block it splits each value by error-free extraction into a high
+part, whose sum is exact in any order, and a low part, summed plainly;
+both steps are fixed numpy passes over the block. Across blocks, the block
 partials are folded in block order. block_sum sums every float series in
 the package; CompensatedSum.add is the scalar step for closed_axis_sum's
 single closed-form row, where a block_sum call costs more than the row.
@@ -36,6 +37,11 @@ FLOAT_MAX = float(np.finfo(np.float64).max)
 # Fixed partition unit; changing it changes last-bit results, so it is a
 # package constant rather than a tuning knob.
 BASE_BLOCK = 65536
+# Longest series that block_sum sums with math.fsum. Extraction costs about
+# 7 us at any length up to a few hundred values, math.fsum about 1 us at 3
+# values and 4 us at 64; the two are level near 100 (one BLAS thread,
+# 2-CPU machine). Like BASE_BLOCK it fixes last bits, so it is a constant.
+SHORT = 64
 
 T = TypeVar("T")
 
@@ -85,24 +91,35 @@ class CompensatedSum:
 def block_sum(values: np.ndarray) -> CompensatedSum:
     """Compensated sum of one base block's values (any shape, read row-major).
 
-    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-    summation part I", SIAM J. Sci. Comput. 31(1), 2008). Take n values,
-    u = eps/2 and sigma = 2^k = 2^M 2^e with 2^M >= n + 2 and 2^e >= max|x|.
-    Then q = (sigma + x) - sigma and r = x - q are exact, x = q + r, every q
-    is a multiple of u sigma and |r| <= u sigma. Every partial sum of the q
-    is a multiple of u sigma below sigma in magnitude, hence a float: their
-    sum tau is exact in any order. The accumulator stores tau and the plain
-    sum c of the r, and its value is tau + c. Each step is one numpy pass in
-    an order fixed by the array alone, so the result is a pure function of
-    the array, and the number of numpy calls does not depend on n.
+    Both regimes below are pure functions of the array, so the result is
+    bit-identical for any thread count, and both keep err_bound =
+    2 eps sum|x| = 4 u sum|x| (u = eps/2).
+
+    Short series, at most SHORT values: value = math.fsum of the values and
+    abs_sum = math.fsum of their magnitudes (Shewchuk, "Adaptive precision
+    floating-point arithmetic", Discrete Comput. Geom. 18, 1997), both
+    correctly rounded, so |value - sum x| <= u |sum x| <= u sum|x|. Where
+    either fsum raises (intermediate overflow, inf - inf) or sum|x| is not
+    finite, the series is summed by extraction instead, so inf, NaN and
+    near-overflow input behave as they do for longer series.
+
+    Longer series: error-free extraction (Rump, Ogita & Oishi, "Accurate
+    floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008).
+    Take n values and sigma = 2^k = 2^M 2^e with 2^M >= n + 2 and 2^e >=
+    max|x|. Then q = (sigma + x) - sigma and r = x - q are exact, x = q + r,
+    every q is a multiple of u sigma and |r| <= u sigma. Every partial sum
+    of the q is a multiple of u sigma below sigma in magnitude, hence a
+    float: their sum tau is exact in any order. The accumulator stores tau
+    and the plain sum c of the r, and its value is tau + c. Each step is one
+    numpy pass in an order fixed by the array alone.
 
     Bound: |c - sum r| <= gamma_(n-1) sum|r| <= gamma_(n-1) n u sigma, so
     |value - sum x| <= u |sum x| + (1 + u) gamma_(n-1) n u sigma
     <= u |sum x| + n^2 u^2 sigma (for n^2 u < 1). Since sigma <= 4 (n + 1)
     max|x|, for n <= BASE_BLOCK the last term is at most about u max|x| / 8,
-    well inside err_bound = 2 eps sum|x| = 4 u sum|x|. A longer array is
-    summed one base block at a time and folded in block order, as
-    reduce_blocks does, which keeps the bound.
+    well inside err_bound. A longer array is summed one base block at a
+    time and folded in block order, as reduce_blocks does, which keeps the
+    bound.
 
     Where 2^k would overflow, the parts are taken of x 2^(1023 - k) and
     scaled back. That scaling is exact except for parts below 2^-1074, far
@@ -110,11 +127,32 @@ def block_sum(values: np.ndarray) -> CompensatedSum:
     memory is one array of n values, two where 2^k would overflow.
     """
     s = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    if s.size <= SHORT:
+        acc = _fsum(s)
+        if acc is not None:
+            return acc
     if s.size <= BASE_BLOCK:
         return _extract_sum(s)
     acc = CompensatedSum()
     for lo, hi in block_ranges(s.size):
         acc.combine(_extract_sum(s[lo:hi]))
+    return acc
+
+
+def _fsum(s: np.ndarray) -> CompensatedSum | None:
+    """block_sum of a flat float64 series by math.fsum; None where fsum cannot give it."""
+    xs = s.tolist()
+    try:
+        total = math.fsum(xs)
+        mass = math.fsum(map(abs, xs))
+    except (OverflowError, ValueError):
+        return None
+    if not math.isfinite(mass):
+        return None
+    acc = CompensatedSum()
+    acc._sum = total
+    acc.abs_sum = mass
+    acc.count = len(xs)
     return acc
 
 

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -32,3 +34,34 @@ def test_pairs_won_follow_the_metric_direction():
     assert metrics["rate"]["pairs_won"] == 2
     assert metrics["wall_s"]["change"]["median"] == 1.0
     assert metrics["rate"]["unit"] == "1/s" and metrics["rate"]["better"] == "higher"
+
+
+def test_trace_runs_compare_the_per_layer_metrics(monkeypatch, tmp_path):
+    layers = [m["name"] for m in json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["per_layer"]]
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        rounds = len(commands)
+        machine = {"machine": {"nproc": 2}, "rounds": rounds}
+        result = {"correct": True, "failed": 0, "metrics": {name: {"value": float(rounds)} for name in layers}}
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"{json.dumps(machine)}\n{json.dumps(result)}\n")
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "describe_working_tree", lambda: "working tree")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "b.json"
+    out.write_text(json.dumps({"label": "t", "workloads": {"torus_aspect": {"kept": True}}}))
+    argv = ["--base", "HEAD", "--workload", "torus_aspect", "--seed", "3", "--seconds", "1",
+            "--pairs", "2", "--label", "t", "--trace", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    assert len(commands) == 4
+    assert all(cmd[cmd.index("--trace") + 1] == "1" for cmd in commands)
+    record = json.loads(out.read_text())
+    # the end-to-end entry of the same workload is kept beside the layer rows
+    assert record["workloads"] == {"torus_aspect": {"kept": True}}
+    entry = record["layers"]["torus_aspect"]
+    assert entry["trace"] == 1 and list(entry["metrics"]) == layers
+    # pair 1 runs base first, pair 2 the change first
+    assert entry["rounds"] == {"base": [1, 4], "change": [2, 3]}
+    assert entry["metrics"]["summation.block_sum.calls"]["pairs_won"] == 1

@@ -73,3 +73,20 @@ def test_dense_limit():
 def test_single_node():
     lap = build_laplacian(Hypercube(0))
     assert lap.tolist() == [[0.0]]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [Ring(7), Torus((3, 4, 5)), Hypercube(4), Explicit(6, [(0, 5), (1, 2), (2, 5), (3, 4)])],
+)
+def test_order_relabels_first_and_last(family):
+    lap = build_laplacian(family)
+    n = family.node_count()
+    for first, last in ((0, n - 1), (n - 1, 0), (2, 4), (4, 2), (1, n - 2), (n - 1, 1)):
+        perm = [first, *(w for w in range(n) if w not in (first, last)), last]
+        assert np.array_equal(build_laplacian(family, order=(first, last)), lap[np.ix_(perm, perm)])
+
+
+def test_order_is_keyword_only():
+    with pytest.raises(TypeError):
+        build_laplacian(Ring(5), (0, 4))

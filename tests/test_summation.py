@@ -23,6 +23,7 @@ from gridres import (
 from gridres.summation import (
     BASE_BLOCK,
     EPS,
+    SHORT,
     CompensatedSum,
     block_ranges,
     block_sum,
@@ -83,11 +84,13 @@ def test_block_sum_reads_views_as_their_contiguous_copy():
 
 
 def test_block_sum_count_and_abs_sum():
-    for n in (0, 1, 513, 65536):
+    # abs_sum is correctly rounded up to SHORT values, a numpy sum beyond
+    for n in (0, 1, 2, 3, 17, SHORT, SHORT + 1, 513, 65536):
         values = _wide_values(n, seed=3)
         acc = block_sum(values)
         assert acc.count == n
-        assert acc.abs_sum == float(np.abs(values).sum())
+        magnitudes = np.abs(values)
+        assert acc.abs_sum == (math.fsum(magnitudes.tolist()) if n <= SHORT else float(magnitudes.sum()))
         assert acc.err_bound == 2.0 * EPS * acc.abs_sum
 
 
@@ -155,6 +158,62 @@ def test_block_sum_exact_rational_bounds():
             _check_exact(values)
         # subnormal and smallest normal magnitudes
         _check_exact(_wide_values(n, seed=n) * 1e-310)
+
+
+def _signed_wide_values(n, seed):
+    """_wide_values with signed zeros, exact ties and cancelling neighbours."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    values = _wide_values(n, seed=seed)
+    for fill in (-0.0, 1.0, -1.0):
+        values[rng.integers(0, n, n // 7 + 1)] = fill
+    return values
+
+
+@pytest.mark.parametrize("n", [SHORT - 1, SHORT, SHORT + 1])
+def test_short_series_at_the_crossover(n):
+    # Up to SHORT values the sum is math.fsum's, correctly rounded, with no
+    # low part; one value more is the extraction's.
+    for seed in range(20):
+        values = _signed_wide_values(n, seed)
+        exact = _exact_sum(values)
+        acc = block_sum(values)
+        assert abs(Fraction(acc.value) - exact) <= Fraction(EPS) / 2 * abs(exact) <= Fraction(acc.err_bound)
+        if n <= SHORT:
+            assert acc.value == float(exact)
+            assert acc._comp == 0.0
+        else:
+            assert _state(acc) == _state(summation._extract_sum(values))
+
+
+def test_short_series_fallbacks():
+    # Where fsum raises or sum|x| overflows, a short series is summed by
+    # extraction, as a long one would be: no OverflowError or ValueError.
+    cases = [
+        ([1e308, 1e308, -1e308], 1e308),  # fsum: intermediate overflow
+        ([1e308, -1e308, 1e308], 1e308),  # the value fits, sum|x| overflows
+        ([np.inf, 3.0, -np.inf], math.nan),  # fsum: inf - inf
+        ([np.nan, 1.0], math.nan),
+        ([-np.inf, 1.0], -math.inf),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values, expected in cases:
+            values = np.array(values)
+            acc = block_sum(values)
+            assert repr(_state(acc)) == repr(_state(summation._extract_sum(values)))
+            assert repr(acc.value) == repr(expected)
+            assert acc.count == values.size and not math.isfinite(acc.err_bound)
+    # all -0.0 sums to +0.0 in both regimes
+    for n in (1, 2, SHORT, SHORT + 1):
+        acc = block_sum(np.full(n, -0.0))
+        assert math.copysign(1.0, acc.value) == 1.0 and acc.value == 0.0
+        assert (acc.abs_sum, acc.err_bound, acc.count) == (0.0, 0.0, n)
+
+
+def test_monte_carlo_with_a_short_last_block_is_thread_independent():
+    budget = BASE_BLOCK + 10
+    assert block_ranges(budget)[-1] == (BASE_BLOCK, budget)  # 10 < SHORT values
+    one, two = (estimate_integral(3, method="monte_carlo", budget=budget, seed=5, threads=t) for t in (1, 2))
+    assert (one.value.hex(), one.err.hex()) == (two.value.hex(), two.err.hex())
 
 
 def test_block_sum_propagates_inf_and_nan():

@@ -1,17 +1,19 @@
 """Alternating benchmark pairs: a base revision against the working tree.
 
     python3 tools/bench_pairs.py --base REV --workload W --seed S --seconds T \
-        --pairs N --label X [--out PATH]
+        --pairs N --label X [--trace 0|1] [--out PATH]
 
 Exports REV with ``git archive`` into a temporary directory and runs
-``perfbench/run.py --trace 0`` there and in the working tree, N times
+``perfbench/run.py --trace T`` there and in the working tree, N times
 each, alternating which side goes first. Writes ``BENCH_<label>.json`` at
 the repository root (or PATH) with run.py's machine line, each side's
-median and quartiles per end-to-end metric of the working tree's
-BENCHMARK.json, and the pairs the change won. One file holds one entry
-per workload: running another workload adds its entry and keeps the
-others. Exits 1 if any run reports an incorrect output or a failed
-operation.
+median and quartiles per metric, and the pairs the change won. With
+``--trace 0`` (the default) the metrics are the end-to-end metrics of the
+working tree's BENCHMARK.json, kept under ``workloads``; with ``--trace 1``
+they are its per-layer metrics, kept under ``layers``. One file holds one
+entry per workload and section: running another workload, or the other
+trace setting, adds its entry and keeps the others. Exits 1 if any run
+reports an incorrect output or a failed operation.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def describe_working_tree() -> str:
 def run_once(root: Path, args: argparse.Namespace) -> tuple[dict, dict]:
     """One ``perfbench/run.py`` run in ``root``: its machine line and its result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", "0"]
+           "--seconds", str(args.seconds), "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True, check=True)
     *_, machine, result = proc.stdout.strip().splitlines()
     return json.loads(machine), json.loads(result)
@@ -74,7 +76,7 @@ def summarise(specs: list[dict], base: list[dict], change: list[dict]) -> dict:
     return metrics
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True)
@@ -82,12 +84,14 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--label", required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: compare BENCHMARK.json's per-layer metrics from traced runs")
     parser.add_argument("--out", type=Path)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     out = args.out or ROOT / f"BENCH_{args.label}.json"
-    specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    specs = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer" if args.trace else "end_to_end"]
 
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     machines: dict[str, list[dict]] = {"base": [], "change": []}
@@ -106,11 +110,12 @@ def main() -> int:
     ok = all(r["correct"] is True and r["failed"] == 0 for side in runs.values() for r in side)
     record = json.loads(out.read_text()) if out.exists() else {}
     record["label"] = args.label
-    record.setdefault("workloads", {})[args.workload] = {
+    record.setdefault("layers" if args.trace else "workloads", {})[args.workload] = {
         "base": commit,
         "change": describe_working_tree(),
         "seed": args.seed,
         "seconds": args.seconds,
+        "trace": args.trace,
         "pairs": args.pairs,
         "first": "base on odd pairs, change on even pairs (pair 1 is odd)",
         "machine": machines["base"][0]["machine"],
