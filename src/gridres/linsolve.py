@@ -6,22 +6,23 @@ the grounded system is the Laplacian without node 0's row and column,
 is factored directly, so the electrical oracle depends on no external
 solver. ``_grounded`` is the one place that cuts it; a caller that wants
 another node grounded permutes the Laplacian so that node comes first.
-Two loops serve two jobs and share no logic:
+One left-looking Cholesky loop, ``_left_looking``, serves two uses. Each
+column is one matrix-vector product with the finished columns, subtracted
+in place: its first entry is the pivot and the rest are the entries below
+the diagonal, and one division by the pivot's square root finishes the
+whole column, diagonal included.
 
-- ``GroundedSolver`` builds the inverse Cholesky factor Y = L^-1 one row at
-  a time. A solve is two matrix-vector products, Y^T (Y b), and the Green
-  matrix A^-1 = Y^T Y is built one row at a time, one vector-matrix
-  product each. There is no matrix-matrix product: on a 2-CPU machine at
+- ``GroundedSolver`` runs it over the stacked [A; I], whose bottom half
+  comes out as Y^T for the inverse Cholesky factor Y = L^-1. A solve is
+  two matrix-vector products, Y^T (Y b), and the Green matrix
+  A^-1 = Y^T Y is built one row at a time, one vector-matrix product
+  each. There is no matrix-matrix product: on a 2-CPU machine at
   199 x 199, Y^T Y as one product right after the loop took 5-15 ms at
   default OpenBLAS threads (the threads had gone to sleep during the
-  loop's matrix-vector calls), against 1-2 ms for the row loop in most
-  reads.
-- ``last_pivot`` runs the left-looking Cholesky loop and returns its last
-  pivot, which is all one pairwise resistance needs. Each column is one
-  matrix-vector product, L[j:, :j] L[j, :j], subtracted in place from
-  a[j:, j]: its first entry is the pivot and the rest are the entries
-  below the diagonal, and one division by the pivot's square root
-  finishes the whole column, diagonal included.
+  loop's matrix-vector calls), against 1-2 ms for the row-at-a-time
+  build in most reads.
+- ``last_pivot`` runs it over A alone and returns the last pivot, which
+  is all one pairwise resistance needs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .summation import EPS
 
 
 class GroundedSolver:
-    """Inverse Cholesky factor of a Laplacian grounded at node 0."""
+    """Inverse Cholesky factor of a Laplacian grounded at node 0, from one column loop."""
 
     def __init__(self, lap: np.ndarray) -> None:
         self._inv = _inverse_factor(_grounded(lap))
@@ -47,7 +48,9 @@ class GroundedSolver:
         """Y = L^-1 for the grounded system A = L L^T, read-only.
 
         Y is lower-triangular with a positive diagonal, and Y^T Y = A^-1.
-        A grounded Laplacian is an M-matrix, so every entry of Y is >= 0.
+        It is the bottom half of the column loop over the stacked [A; I],
+        transposed. A grounded Laplacian is an M-matrix, so every entry of
+        Y is >= 0 (see ``_inverse_factor``).
         """
         return self._inv
 
@@ -116,59 +119,72 @@ def _pivot_floor(a: np.ndarray) -> float:
 
 
 def _inverse_factor(a: np.ndarray) -> np.ndarray:
-    """Y = L^-1 for the Cholesky factor L of an SPD matrix, one row at a time.
+    """Y = L^-1 for the Cholesky factor L of an SPD matrix, from the stacked column loop.
 
-    Row j, for j = 0 .. m-1 in order: with Y's finished leading j x j block,
-    row j of L left of the diagonal is l = Y[:j, :j] a[:j, j], the pivot is
-    a[j, j] - l . l, d is its square root, and the new row of Y is
-    -(l Y[:j, :j]) / d left of the diagonal and 1/d on it. A pivot at or
-    below the floor raises SingularSystem.
+    Factoring [[A, I], [I, .]] gives [[L, 0], [L21, .]] with L21 L^T = I,
+    so L21 = L^-T = Y^T (Golub & Van Loan, Matrix Computations, 4.2). The
+    working array is the 2m x m stack [A; I], and ``_left_looking`` writes
+    L over its top half and Y^T over its bottom half. Y is then copied,
+    transposed, over the spent L, and the bottom half is cut off, so no
+    third m x m array is held. m = 0 gives a (0, 0) Y.
+
+    Every entry of Y is >= 0, also in floating point, and the Green-trace
+    bound relies on it. A grounded Laplacian is an M-matrix: its entries
+    off the diagonal are <= 0. An entry of L below the diagonal starts as
+    one of them, and each update subtracts products of two such entries of
+    L, which are >= 0, so it stays <= 0. An entry of Y^T starts at 0 (1 on
+    the diagonal, which no update changes), and each update subtracts
+    products of a non-negative Y entry and a non-positive L entry, so it
+    only grows. Every sum adds terms of one sign, so rounding keeps these
+    signs, and dividing by a positive square root keeps them too.
     """
-    a = np.asarray(a, dtype=np.float64)
     m = a.shape[0]
-    y = np.zeros((m, m))
-    if m == 0:
-        return y
-    floor = _pivot_floor(a)
-    for j in range(m):
-        lead = y[:j, :j]
-        # a is symmetric: its row j is its column j, and contiguous
-        l = lead @ a[j, :j]
-        pivot = float(a[j, j] - l @ l)
-        if pivot <= floor:
-            raise SingularSystem("grounded system is singular (disconnected graph)")
-        d = math.sqrt(pivot)
-        row = y[j, :j]
-        np.matmul(l, lead, out=row)
-        row /= -d
-        y[j, j] = 1.0 / d
-    return y
+    c = np.zeros((2 * m, m))
+    c[:m] = a
+    np.fill_diagonal(c[m:], 1.0)
+    if m:
+        _left_looking(c)
+    c[:m] = c[m:].T
+    # No view of c outlives the loop, so the buffer can shrink in place.
+    c.resize((m, m), refcheck=False)
+    return c
 
 
 def _cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky factor of an SPD matrix by left-looking elimination, and its last pivot.
 
     The matrix is a grounded system, ``_grounded(lap)``, in every caller.
-
-    Column j, for j = 0 .. m-1 in order, is one matrix-vector product with
-    the finished columns, L[j:, :j] L[j, :j], subtracted in place from
-    a[j:, j]. The column's first entry is then the pivot; one at or below
-    the floor raises SingularSystem. Dividing the whole column, diagonal
-    included, by the pivot's square root finishes it. The factor is
-    returned in the working array: its lower triangle is L, and the strict
-    upper triangle still holds a's entries. An empty matrix has no pivot
-    and raises ValueError.
+    The factor is returned in a working copy: its lower triangle is L, and
+    the strict upper triangle still holds a's entries. An empty matrix has
+    no pivot and raises ValueError.
     """
-    m = a.shape[0]
     c = np.array(a, dtype=np.float64)
-    if m == 0:
+    if c.shape[0] == 0:
         raise ValueError("an empty matrix has no pivot")
-    floor = _pivot_floor(c)
+    return c, _left_looking(c)
+
+
+def _left_looking(c: np.ndarray) -> float:
+    """Left-looking Cholesky of the m x m top of c, in place, and its last pivot.
+
+    c is m x m, or the 2m x m stack of ``_inverse_factor``; the pivot
+    floor is taken from the m x m top. Column j, for j = 0 .. m-1 in order,
+    is one matrix-vector product with the finished columns,
+    c[j:m+j+1, :j] c[j, :j], subtracted in place from c[j:m+j+1, j]. In
+    the stack, the rows below m + j are identity rows, 0 in columns
+    0 .. j, which the update would leave 0, so it skips them; in an m-row
+    array the slice ends at m. The column's first entry is then the pivot;
+    one at or below the floor raises SingularSystem. Dividing the whole
+    column, diagonal included, by the pivot's square root finishes it.
+    """
+    m = c.shape[1]
+    floor = _pivot_floor(c[:m])
     for j in range(m):
-        col = c[j:, j]
-        col -= c[j:, :j] @ c[j, :j]
+        stop = m + j + 1
+        col = c[j:stop, j]
+        col -= c[j:stop, :j] @ c[j, :j]
         pivot = float(col[0])
         if pivot <= floor:
             raise SingularSystem("grounded system is singular (disconnected graph)")
         col /= math.sqrt(pivot)
-    return c, pivot
+    return pivot

@@ -137,11 +137,24 @@ def rave_definition_oracle(g: GraphFamily) -> ResistanceResult:
     n = g.node_count()
     if n > ORACLE_NODE_CAP:
         raise SizeExceeded(f"{n} nodes exceed the oracle cap {ORACLE_NODE_CAP}")
-    green = GroundedSolver(build_laplacian(g)).green_matrix()
-    diag = np.diag(green)
-    pair_reff = diag[:, None] + diag[None, :] - green - green.T
-    acc = block_sum(pair_reff[np.triu_indices(n, k=1)])
+    acc = block_sum(_pair_resistances(GroundedSolver(build_laplacian(g)).green_matrix()))
     return ResistanceResult(acc.value / n**2, "oracle_definition", n * (n - 1) // 2, acc.err_bound / n**2)
+
+
+def _pair_resistances(green: np.ndarray) -> np.ndarray:
+    """R_uv = (G_uu + G_vv - G_uv) - G_uv over the pairs u < v, row-major.
+
+    green is a Green matrix as ``green_matrix`` builds it, exactly
+    symmetric, so G_vu = G_uv is subtracted twice in the matrix's own
+    order and no transposed pass is made. A boolean mask gathers the
+    strict upper triangle in row-major order.
+    """
+    diag = np.diag(green)
+    pair = np.add.outer(diag, diag)
+    pair -= green
+    pair -= green
+    node = np.arange(green.shape[0])
+    return pair[node[:, None] < node]
 
 
 def _rave_green_trace(g: GraphFamily) -> ResistanceResult:

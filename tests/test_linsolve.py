@@ -3,18 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridres.linsolve
 from gridres import (
     DisconnectedGraph,
     Explicit,
     GroundedSolver,
+    Hypercube,
     Ring,
     SingularSystem,
+    Torus,
     build_laplacian,
     pairwise_reff,
     rave,
     rave_definition_oracle,
 )
-from gridres.linsolve import _cholesky, last_pivot
+from gridres.linsolve import _cholesky, _left_looking, last_pivot
 from gridres.verify import random_connected_graph
 
 K3 = Explicit(3, [(0, 1), (1, 2), (0, 2)])
@@ -61,7 +64,9 @@ def test_ground_node_validation():
     for entry in (GroundedSolver, last_pivot):
         with pytest.raises(ValueError, match="no node to ground"):
             entry(np.zeros((0, 0)))
-    assert GroundedSolver(build_laplacian(Explicit(1, []))).green_matrix().shape == (1, 1)
+    one_node = GroundedSolver(build_laplacian(Explicit(1, [])))
+    assert one_node.inverse_factor.shape == (0, 0)
+    assert one_node.green_matrix().shape == (1, 1)
 
 
 def test_matrix_must_be_square():
@@ -178,6 +183,65 @@ def test_inverse_factor_invariants(seed):
     assert np.max(np.abs(y @ a @ y.T - np.eye(m))) <= 1e-12
     with pytest.raises(ValueError):
         y[0, 0] = 1.0
+
+
+def _inverse_factor_previous(a):
+    """The earlier row loop: two matrix-vector products per row of Y."""
+    m = a.shape[0]
+    y = np.zeros((m, m))
+    for j in range(m):
+        lead = y[:j, :j]
+        l = lead @ a[j, :j]
+        d = np.sqrt(a[j, j] - l @ l)
+        y[j, :j] = -(l @ lead) / d
+        y[j, j] = 1.0 / d
+    return y
+
+
+def _assert_inverse_factor_within_rounding_of_previous_loop(lap):
+    a = lap[1:, 1:]
+    m = a.shape[0]
+    eps = np.finfo(np.float64).eps
+    y = GroundedSolver(lap).inverse_factor
+    assert np.max(np.abs(y - _inverse_factor_previous(a))) <= 2 * m * eps * np.max(y)
+    stacked = np.vstack((a, np.eye(m)))
+    pivot = _left_looking(stacked)
+    assert np.array_equal(stacked[m:].T, y)
+    assert abs(pivot - last_pivot(lap)) <= 2 * m * eps * pivot
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_inverse_factor_within_rounding_of_previous_loop(seed):
+    # The stacked column loop and the row loop order their sums differently,
+    # so Y may move by a few rounding errors.
+    g = random_connected_graph(np.random.Generator(np.random.PCG64(seed)), max_nodes=100)
+    _assert_inverse_factor_within_rounding_of_previous_loop(build_laplacian(g))
+
+
+@pytest.mark.parametrize(
+    "family",
+    [Torus((3, 4)), Torus((8, 12)), Torus((10, 20)), Torus((5, 5, 5)), Hypercube(7)],
+    ids=str,
+)
+def test_inverse_factor_within_rounding_of_previous_loop_lattices(family):
+    _assert_inverse_factor_within_rounding_of_previous_loop(build_laplacian(family))
+
+
+def test_pivot_floor_reads_the_grounded_system(monkeypatch):
+    # The stack [A; I] has 2m rows; the floor scales with m, the system's size.
+    shapes = []
+    floor = gridres.linsolve._pivot_floor
+
+    def recording(a):
+        shapes.append(a.shape)
+        return floor(a)
+
+    monkeypatch.setattr(gridres.linsolve, "_pivot_floor", recording)
+    lap = build_laplacian(Ring(6))
+    GroundedSolver(lap)
+    last_pivot(lap)
+    assert shapes == [(5, 5), (5, 5)]
 
 
 @settings(max_examples=25, deadline=None)

@@ -343,6 +343,18 @@ def test_oracle_band_holds_against_its_exact_pair_sum():
         assert abs(Fraction(result.value) - exact) <= Fraction(result.err_bound), family
 
 
+def test_pair_resistances_bit_identical_to_the_transposed_expression():
+    # green_matrix mirrors exactly, so subtracting G twice in place and
+    # gathering by a mask gives, bit for bit, the pair vector of
+    # diag[:, None] + diag[None, :] - G - G^T gathered by np.triu_indices.
+    for family in small_family_set(42):
+        green = GroundedSolver(build_laplacian(family)).green_matrix()
+        diag = np.diag(green)
+        previous = diag[:, None] + diag[None, :] - green - green.T
+        previous = previous[np.triu_indices(green.shape[0], k=1)]
+        assert np.array_equal(gridres.resistance._pair_resistances(green), previous), family
+
+
 def test_single_node_values_are_zero():
     assert rave_ring_exact(1).value == 0.0
     assert rave_hypercube_binomial(0).value == 0.0
