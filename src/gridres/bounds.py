@@ -2,16 +2,18 @@
 
 Each bound op reports its applicability instead of raising, so parameter
 sweeps stay total: an inapplicable input yields a report with
-applicable=False and unset bound values. All logarithms are natural.
+applicable=False and unset bound values. A bound that leaves the float
+range raises Overflow. All logarithms are natural.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Iterator
 
-from .errors import NonIntegralSides
+from .errors import NonIntegralSides, Overflow
 
 TAG_TORUS2 = "T2_torus2"
 TAG_TORUSD = "T3_torusd"
@@ -47,6 +49,15 @@ def _inapplicable(theorem: str, params: dict[str, Any], reason: str) -> BoundRep
     return BoundReport(theorem, params, applicable=False, reason=reason)
 
 
+@contextmanager
+def _float_range(theorem: str) -> Iterator[None]:
+    """Raise Overflow where the float arithmetic in the block overflows."""
+    try:
+        yield
+    except OverflowError:
+        raise Overflow(f"{theorem}: a bound leaves the float range") from None
+
+
 def bounds_torus2(m1: int, m2: int) -> BoundReport:
     """Two-dimensional torus bounds; needs 4 <= M1 <= M2.
 
@@ -57,14 +68,15 @@ def bounds_torus2(m1: int, m2: int) -> BoundReport:
     params = {"M1": m1, "M2": m2}
     if not (4 <= m1 <= m2):
         return _inapplicable(TAG_TORUS2, params, f"requires 4 <= M1 <= M2, got ({m1}, {m2})")
-    upper = math.log(m2) / (2.0 * math.pi) + m2 / (12.0 * m1) + 1.0
-    lower = max(torus2_lower_branches(m1, m2))
+    with _float_range(TAG_TORUS2):
+        upper = math.log(m2) / (2.0 * math.pi) + m2 / (12 * m1) + 1.0
+        lower = max(torus2_lower_branches(m1, m2))
     return BoundReport(TAG_TORUS2, params, True, lower=lower, upper=upper)
 
 
 def torus2_lower_branches(m1: int, m2: int) -> tuple[float, float]:
     """The two lower-bound branches (aspect-ratio first, logarithmic second)."""
-    ratio = m2 / (12.0 * m1)
+    ratio = m2 / (12 * m1)  # one correctly rounded quotient of integers, for sides past the float range too
     return ratio - 1.0 / 24.0, math.log(m1) / (2.0 * math.pi) - ratio - 0.5
 
 
@@ -79,10 +91,12 @@ def bounds_torusd(m: int, d: int) -> BoundReport:
         return _inapplicable(TAG_TORUSD, params, f"requires d >= 3, got d={d}")
     if m < 4:
         return _inapplicable(TAG_TORUSD, params, f"requires M >= 4, got M={m}")
-    lower = 1.0 / (4.0 * d)
-    upper = (8.0 / (d + 1)) * (1.0 + 1.0 / m) ** (d + 1) + (
-        d / (4.0 * float(m) ** (d - 2))
-    ) * (1.0 / 3.0 + (d - 1) * math.log(m) / math.pi)
+    with _float_range(TAG_TORUSD):
+        lower = 1.0 / (4.0 * d)
+        # M^-(d-2) underflows to 0 where M^(d-2) would overflow
+        upper = (8.0 / (d + 1)) * (1.0 + 1.0 / m) ** (d + 1) + (
+            d * float(m) ** -(d - 2) / 4.0
+        ) * (1.0 / 3.0 + (d - 1) * math.log(m) / math.pi)
     return BoundReport(TAG_TORUSD, params, True, lower=lower, upper=upper)
 
 
@@ -109,16 +123,24 @@ def scenario_bounds(scenario: int, c: float, n: int) -> BoundReport:
 
     Scenario 1 fixes one side at c and grows the other as N/c; scenario 2
     splits N as N^(1/c) x N^((c-1)/c); scenario 3 keeps the sides
-    proportional with ratio c. Side lengths that fail to be integers raise
-    NonIntegralSides; integral sides that miss a scenario gate produce an
-    inapplicable report.
+    proportional with ratio c. c must be finite and positive and N at
+    least 1 (ValueError otherwise). Side lengths that fail to be integers
+    raise NonIntegralSides; integral sides that miss a scenario gate produce
+    an inapplicable report. Overflow where a side or bound leaves the float
+    range, as for an N beyond it.
     """
     if scenario not in (1, 2, 3):
         raise ValueError(f"scenario must be 1, 2 or 3, got {scenario}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be finite and positive, got {c}")
     if n < 1:
         raise ValueError(f"N must be positive, got {n}")
     tag = TAG_SCENARIO[scenario]
+    with _float_range(tag):
+        return _scenario_bounds(scenario, tag, c, n)
 
+
+def _scenario_bounds(scenario: int, tag: str, c: float, n: int) -> BoundReport:
     if scenario == 1:
         sides = (float(c), n / c)
     elif scenario == 2:

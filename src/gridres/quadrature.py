@@ -28,14 +28,7 @@ import numpy as np
 from .errors import DivergentIntegral, InsufficientBudget, InvalidFamily, SingularPoint, SizeExceeded
 from .families import require_int, require_positive_int
 from .spectrum import check_lattice, closed_axis_sum
-from .summation import (
-    BASE_BLOCK,
-    EPS,
-    CompensatedSum,
-    block_ranges,
-    block_sum,
-    map_blocks,
-)
+from .summation import BASE_BLOCK, EPS, CompensatedSum, block_ranges, block_sum, fold, map_blocks
 
 MIN_BUDGET = 10**4
 # Monte Carlo budgets above 2^16 base blocks (2^32 samples) are refused before
@@ -166,11 +159,7 @@ def _monte_carlo(d: int, budget: int, seed: int, threads: int) -> IntegralEstima
         return block_sum(f), block_sum(f * f)
 
     partials = map_blocks(block_ranges(budget), block_stats, threads)
-    acc = CompensatedSum()
-    acc_sq = CompensatedSum()
-    for part, part_sq in partials:
-        acc.combine(part)
-        acc_sq.combine(part_sq)
+    acc, acc_sq = map(fold, zip(*partials))
     mean = acc.value / budget
     variance = max(0.0, (acc_sq.value - budget * mean * mean) / (budget - 1))
     err = 3.0 * math.sqrt(variance / budget)

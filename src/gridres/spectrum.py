@@ -285,7 +285,11 @@ def closed_axis_sum(
     M theta / 2 above 2.3 for cycle rows, where tanh is near 1 and well
     conditioned, and keeps 1/a below the interior row, so cancelling 1/a
     costs at most a factor 3 in the row's rounding. The weighted rows
-    reduce serially over the fixed block partition (``reduce_blocks``).
+    reduce serially over the fixed block partition (``reduce_blocks``), to
+    within 2.2 u of their mass (u = eps/2, see ``summation.block_sum``).
+    The row a = 0 joins that sum as one float add, to the value and to the
+    mass. The add rounds by at most (1 + 2.2 u) u times the new mass, so
+    the sum stays within 3.3 u of it, inside the 4 u of err_bound.
     """
     others, m, n = check_lattice(groups, lattice, max_rows)
     a, weight = folded_rows(others, lattice)
@@ -307,8 +311,11 @@ def closed_axis_sum(
         return weight[lo:hi] * row
 
     acc = reduce_blocks(a.size, rows)
+    total, mass = acc.value, acc.abs_sum
     if zero_row:
-        acc.add(m * m / 4.0 if midpoint else (m * m - 1) / 12.0)
+        zero = m * m / 4.0 if midpoint else (m * m - 1) / 12.0
+        total += zero
+        mass += zero
     # a adds d - 1 positive entries, and a row passes the relative rounding
     # of a on unamplified. Weights round only above 2^53 (see folded_rows),
     # by fewer than 2 (d - 1) units of eps/2.
@@ -316,4 +323,4 @@ def closed_axis_sum(
     eval_eps = ROW_EVAL_EPS * (3.0 if interior else 1.0) + 0.5 * folded
     if folded * (n // m) > 2**53:
         eval_eps += folded
-    return acc.value / n, (acc.err_bound + eval_eps * EPS * acc.abs_sum) / n
+    return total / n, (2.0 * EPS * mass + eval_eps * EPS * mass) / n

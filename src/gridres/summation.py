@@ -5,10 +5,12 @@ of the index space into base blocks of BASE_BLOCK items. block_sum sums a
 series of at most SHORT values with math.fsum, correctly rounded. Within a
 longer block it splits each value by error-free extraction into a high
 part, whose sum is exact in any order, and a low part, summed plainly;
-both steps are fixed numpy passes over the block. Across blocks, the block
-partials are folded in block order. block_sum sums every float series in
-the package; CompensatedSum.add is the scalar step for closed_axis_sum's
-single closed-form row, where a block_sum call costs more than the row.
+both steps are fixed numpy passes over the block. block_sum sums every
+float series in the package. Each sum is an immutable CompensatedSum,
+built once by the kernel that computes it. ``fold`` is the one way to add
+partials: math.fsum of their values, in block order. block_sum folds the
+blocks of a long array with it, reduce_blocks a lattice sum's blocks, and
+Monte Carlo its per-block sums.
 
 reduce_blocks folds the blocks of a lattice sum serially: a folded torus
 sum fits in one or a few blocks, where a thread pool costs more than it
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -46,54 +49,31 @@ SHORT = 64
 T = TypeVar("T")
 
 
+@dataclass(frozen=True, slots=True)
 class CompensatedSum:
-    """Neumaier accumulator with a running rounding-error bound."""
+    """A sum's value, its summands' absolute mass and their count, with a rounding-error bound."""
 
-    __slots__ = ("_sum", "_comp", "abs_sum", "count")
-
-    def __init__(self) -> None:
-        self._sum = 0.0
-        self._comp = 0.0
-        self.abs_sum = 0.0
-        self.count = 0
-
-    def add(self, x: float) -> None:
-        self._accumulate(float(x))
-        self.abs_sum += abs(x)
-        self.count += 1
-
-    def _accumulate(self, x: float) -> None:
-        t = self._sum + x
-        if abs(self._sum) >= abs(x):
-            self._comp += (self._sum - t) + x
-        else:
-            self._comp += (x - t) + self._sum
-        self._sum = t
-
-    def combine(self, other: "CompensatedSum") -> None:
-        """Fold another partial in; callers fix the combine order."""
-        self._accumulate(other._sum)
-        self._accumulate(other._comp)
-        self.abs_sum += other.abs_sum
-        self.count += other.count
-
-    @property
-    def value(self) -> float:
-        return self._sum + self._comp
+    value: float
+    abs_sum: float
+    count: int
 
     @property
     def err_bound(self) -> float:
-        # Standard compensated-summation bound: proportional to eps times
-        # the total absolute mass, independent of the term count.
+        # Proportional to eps times the total absolute mass, independent of
+        # the term count; block_sum derives it.
         return 2.0 * EPS * self.abs_sum
 
 
-def block_sum(values: np.ndarray) -> CompensatedSum:
-    """Compensated sum of one base block's values (any shape, read row-major).
+_EMPTY = CompensatedSum(0.0, 0.0, 0)
 
-    Both regimes below are pure functions of the array, so the result is
-    bit-identical for any thread count, and both keep err_bound =
-    2 eps sum|x| = 4 u sum|x| (u = eps/2).
+
+def block_sum(values: np.ndarray) -> CompensatedSum:
+    """Compensated sum of an array's values (any shape, read row-major).
+
+    The result is a pure function of the array, so it is bit-identical for
+    any thread count, and it keeps err_bound = 2 eps sum|x| = 4 u sum|x|
+    (u = eps/2). One base block of n values is summed by one of two
+    kernels.
 
     Short series, at most SHORT values: value = math.fsum of the values and
     abs_sum = math.fsum of their magnitudes (Shewchuk, "Adaptive precision
@@ -105,21 +85,25 @@ def block_sum(values: np.ndarray) -> CompensatedSum:
 
     Longer series: error-free extraction (Rump, Ogita & Oishi, "Accurate
     floating-point summation part I", SIAM J. Sci. Comput. 31(1), 2008).
-    Take n values and sigma = 2^k = 2^M 2^e with 2^M >= n + 2 and 2^e >=
-    max|x|. Then q = (sigma + x) - sigma and r = x - q are exact, x = q + r,
-    every q is a multiple of u sigma and |r| <= u sigma. Every partial sum
-    of the q is a multiple of u sigma below sigma in magnitude, hence a
-    float: their sum tau is exact in any order. The accumulator stores tau
-    and the plain sum c of the r, and its value is tau + c. Each step is one
-    numpy pass in an order fixed by the array alone.
+    Take sigma = 2^k = 2^M 2^e with 2^M >= n + 2 and 2^e >= max|x|. Then
+    q = (sigma + x) - sigma and r = x - q are exact, x = q + r, every q is
+    a multiple of u sigma and |r| <= u sigma. Every partial sum of the q is
+    a multiple of u sigma below sigma in magnitude, hence a float: their
+    sum tau is exact in any order. The value is tau + c, with c the plain
+    sum of the r. Each step is one numpy pass in an order fixed by the
+    array alone.
 
     Bound: |c - sum r| <= gamma_(n-1) sum|r| <= gamma_(n-1) n u sigma, so
     |value - sum x| <= u |sum x| + (1 + u) gamma_(n-1) n u sigma
     <= u |sum x| + n^2 u^2 sigma (for n^2 u < 1). Since sigma <= 4 (n + 1)
-    max|x|, for n <= BASE_BLOCK the last term is at most about u max|x| / 8,
-    well inside err_bound. A longer array is summed one base block at a
-    time and folded in block order, as reduce_blocks does, which keeps the
-    bound.
+    max|x|, for n <= BASE_BLOCK the last term is at most u max|x| / 8.
+
+    A longer array is cut by block_ranges, each block summed as above, and
+    the partials v_b are folded by ``fold``, as reduce_blocks folds its
+    blocks. With S_b a block's exact sum and t_b its n^2 u^2 sigma term,
+    |sum v_b - sum x| <= u sum|x| + sum t_b, and the fold adds at most
+    u |sum v_b|. So |value - sum x| <= (2 + u) u sum|x| + (1 + u) sum t_b,
+    and sum t_b <= u sum|x| / 8: below 2.2 u sum|x|, inside err_bound.
 
     Where 2^k would overflow, the parts are taken of x 2^(1023 - k) and
     scaled back. That scaling is exact except for parts below 2^-1074, far
@@ -127,48 +111,32 @@ def block_sum(values: np.ndarray) -> CompensatedSum:
     memory is one array of n values, two where 2^k would overflow.
     """
     s = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if s.size <= SHORT:
-        acc = _fsum(s)
-        if acc is not None:
-            return acc
     if s.size <= BASE_BLOCK:
-        return _extract_sum(s)
-    acc = CompensatedSum()
-    for lo, hi in block_ranges(s.size):
-        acc.combine(_extract_sum(s[lo:hi]))
-    return acc
+        return _block(s)
+    return fold([_block(s[lo:hi]) for lo, hi in block_ranges(s.size)])
 
 
-def _fsum(s: np.ndarray) -> CompensatedSum | None:
-    """block_sum of a flat float64 series by math.fsum; None where fsum cannot give it."""
-    xs = s.tolist()
-    try:
-        total = math.fsum(xs)
-        mass = math.fsum(map(abs, xs))
-    except (OverflowError, ValueError):
-        return None
-    if not math.isfinite(mass):
-        return None
-    acc = CompensatedSum()
-    acc._sum = total
-    acc.abs_sum = mass
-    acc.count = len(xs)
-    return acc
+def _block(s: np.ndarray) -> CompensatedSum:
+    """block_sum of one flat float64 block of at most BASE_BLOCK values."""
+    if s.size <= SHORT:
+        xs = s.tolist()
+        try:
+            total, mass = math.fsum(xs), math.fsum(map(abs, xs))
+        except (OverflowError, ValueError):
+            mass = math.inf
+        if math.isfinite(mass):
+            return CompensatedSum(total, mass, len(xs))
+    return _extract_sum(s)
 
 
 def _extract_sum(s: np.ndarray) -> CompensatedSum:
-    """block_sum of one flat float64 block of at most BASE_BLOCK values."""
-    acc = CompensatedSum()
+    """The extraction kernel of block_sum on a flat, non-empty float64 array."""
     n = s.size
-    if n == 0:
-        return acc
-    acc.count = n
     work = np.abs(s)
-    acc.abs_sum = float(work.sum())
+    mass = float(work.sum())
     biggest = float(work.max())
     if not math.isfinite(biggest):
-        acc._sum = float(s.sum())
-        return acc
+        return CompensatedSum(float(s.sum()), mass, n)
     k = (n + 1).bit_length() + math.frexp(biggest)[1]
     shift = max(k - 1023, 0)
     if shift:
@@ -177,10 +145,30 @@ def _extract_sum(s: np.ndarray) -> CompensatedSum:
     sigma = math.ldexp(1.0, k - shift)
     np.add(s, sigma, work)
     np.subtract(work, sigma, work)  # q
-    acc._sum = float(work.sum()) * scale
+    tau = float(work.sum()) * scale
     np.subtract(s, work, work)  # r
-    acc._comp = float(work.sum()) * scale
-    return acc
+    return CompensatedSum(tau + float(work.sum()) * scale, mass, n)
+
+
+def fold(parts: Sequence[CompensatedSum]) -> CompensatedSum:
+    """Sum partials in the given order: their values by math.fsum, masses and counts added.
+
+    fsum is correctly rounded, adding at most u |sum v| to the parts' own
+    errors (see block_sum). Where it raises (intermediate overflow,
+    inf - inf), the values are summed by extraction instead. One part is
+    returned unchanged, and no parts give the empty sum without a call.
+    """
+    if len(parts) <= 1:
+        return parts[0] if parts else _EMPTY
+    values = [part.value for part in parts]
+    mass = 0.0
+    for part in parts:
+        mass += part.abs_sum
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):
+        total = _extract_sum(np.array(values)).value
+    return CompensatedSum(total, mass, sum(part.count for part in parts))
 
 
 def block_ranges(total: int) -> list[tuple[int, int]]:
@@ -219,8 +207,5 @@ def map_blocks(
 
 
 def reduce_blocks(total: int, term_fn: Callable[[int, int], np.ndarray]) -> CompensatedSum:
-    """Sum term_fn(lo, hi) arrays over the fixed partition of [0, total), in block order."""
-    acc = CompensatedSum()
-    for lo, hi in block_ranges(total):
-        acc.combine(block_sum(term_fn(lo, hi)))
-    return acc
+    """Sum term_fn(lo, hi) arrays over the fixed partition of [0, total), folded in block order."""
+    return fold([block_sum(term_fn(lo, hi)) for lo, hi in block_ranges(total)])

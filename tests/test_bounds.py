@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gridres import (
     NonIntegralSides,
+    Overflow,
     bounds_hypercube,
     bounds_integral,
     bounds_torus2,
@@ -49,6 +50,20 @@ def test_torusd_limit_shape():
     # the upper bound settles toward 8/(d+1) as the side grows
     upper_big = bounds_torusd(10**6, 3).upper
     assert abs(upper_big - 2.0) <= 1e-4
+
+
+def test_bounds_past_the_float_range():
+    # M^-(d-2) underflows to 0 where M^(d-2) overflowed; the ratio M2/M1
+    # is taken before any float conversion of the sides.
+    report = bounds_torusd(4, 600)
+    assert math.isfinite(report.lower) and math.isfinite(report.upper)
+    big = 10**400
+    assert bounds_torus2(big, big).lower == max(torus2_lower_branches(big, big))
+    assert math.isfinite(bounds_torus2(big, big).upper)
+    # a bound that itself leaves the float range raises the typed error
+    for call in (lambda: bounds_torusd(4, 5000), lambda: bounds_torus2(4, big), lambda: bounds_torusd(big, 3)):
+        with pytest.raises(Overflow, match="leaves the float range"):
+            call()
 
 
 def test_torusd_inapplicable():
@@ -152,3 +167,18 @@ def test_scenario_argument_errors():
         scenario_bounds(4, 1, 16)
     with pytest.raises(ValueError):
         scenario_bounds(1, 4, 0)
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+@pytest.mark.parametrize("c", [0, -1, -4.0, math.nan, math.inf])
+def test_scenario_refuses_c_not_finite_and_positive(scenario, c):
+    with pytest.raises(ValueError, match="c must be finite and positive"):
+        scenario_bounds(scenario, c, 64)
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_scenario_overflow(scenario):
+    with pytest.raises(Overflow, match="leaves the float range"):
+        scenario_bounds(scenario, 2, 10**400)
+    with pytest.raises(Overflow, match="leaves the float range"):
+        scenario_bounds(scenario, 10**400, 64)

@@ -104,6 +104,18 @@ def test_computation_errors_exit_3(capsys, tmp_path):
     assert err == "gridres: the ring size leaves the float range\n"
 
 
+def test_sweep_past_the_float_range_exits_3(capsys, tmp_path):
+    # The bounds stay finite (M^-(d-2) underflows, M2/M1 is an exact
+    # quotient), so the sum's own Overflow refuses the point; no traceback
+    # and no CSV.
+    out_file = tmp_path / "far.csv"
+    for argv in (["--family", "torusd", "--m", "4", "--d", "600"], ["--family", "torus2", "--m", "1" + "0" * 400]):
+        code, out, err = run(capsys, "sweep", *argv, "--out", str(out_file))
+        assert code == 3 and out == ""
+        assert err.startswith("gridres: ") and err.endswith("leaves the float range\n") and err.count("\n") == 1
+    assert not out_file.exists()
+
+
 def test_max_terms_caps_folded_torus_rows(capsys, tmp_path):
     path = tmp_path / "triangle.txt"
     path.write_text("3\n0 1\n1 2\n0 2\n")

@@ -27,19 +27,48 @@ from gridres.summation import (
     CompensatedSum,
     block_ranges,
     block_sum,
+    fold,
     map_blocks,
     reduce_blocks,
 )
 
 
-def test_scalar_add_matches_fsum():
+def _scalars(values):
+    return [CompensatedSum(x, abs(x), 1) for x in values]
+
+
+def test_fold_of_scalars_matches_fsum():
     values = [1e16, 1.0, -1e16, 1.0, 0.5, 1e-8]
-    acc = CompensatedSum()
-    for x in values:
-        acc.add(x)
+    acc = fold(_scalars(values))
     assert acc.value == math.fsum(values)
-    assert acc.err_bound >= 0.0
+    assert acc.abs_sum == pytest.approx(2e16 + 2.5, rel=EPS)
+    assert acc.err_bound == 2.0 * EPS * acc.abs_sum
     assert acc.count == len(values)
+
+
+def test_fold_of_one_part_or_none():
+    part = CompensatedSum(0.1, 0.3, 7)
+    assert fold([part]) is part
+    assert fold([]) == CompensatedSum(0.0, 0.0, 0)
+
+
+def test_fold_fallbacks():
+    # Where fsum raises, the values are summed by extraction: an
+    # intermediate overflow gives the finite sum, inf - inf gives NaN. An
+    # inf or NaN that fsum takes comes out of it unchanged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = fold(_scalars([1e308, 1e308, -1e308]))
+        assert math.isnan(fold(_scalars([np.inf, 3.0, -np.inf])).value)
+    assert acc.value == 1e308
+    assert acc.abs_sum == acc.err_bound == np.inf and acc.count == 3
+    assert fold(_scalars([np.inf, 1.0])).value == np.inf
+    assert math.isnan(fold(_scalars([1.0, np.nan])).value)
+
+
+def test_compensated_sum_is_immutable():
+    acc = block_sum(np.arange(5.0))
+    with pytest.raises(AttributeError):
+        acc.value = 0.0
 
 
 def test_block_sum_beats_naive_on_cancellation():
@@ -71,16 +100,12 @@ def test_block_sum_is_correctly_rounded_within_bound(n):
     assert acc.value == float(exact)
 
 
-def _state(acc):
-    return acc._sum, acc._comp, acc.abs_sum, acc.count
-
-
 def test_block_sum_reads_views_as_their_contiguous_copy():
     values = _wide_values(3 * 4097, seed=7)
     matrix = values.reshape(3, 4097)
     for view in (matrix, matrix.T, values[::3], matrix[:, ::2]):
         got, ref = block_sum(view), block_sum(np.array(view).ravel())
-        assert _state(got) == _state(ref)
+        assert got == ref
 
 
 def test_block_sum_count_and_abs_sum():
@@ -129,10 +154,7 @@ def _check_exact(values):
         k = (n + 1).bit_length() + math.frexp(float(np.abs(values).max()))[1]
         assert err <= u * abs(exact) + n * n * u * u * Fraction(2) ** k, n
     else:
-        fold = CompensatedSum()
-        for lo, hi in block_ranges(n):
-            fold.combine(block_sum(values[lo:hi]))
-        assert _state(acc) == _state(fold), n
+        assert acc == fold([block_sum(values[lo:hi]) for lo, hi in block_ranges(n)]), n
 
 
 def test_block_sum_exact_rational_bounds():
@@ -171,8 +193,8 @@ def _signed_wide_values(n, seed):
 
 @pytest.mark.parametrize("n", [SHORT - 1, SHORT, SHORT + 1])
 def test_short_series_at_the_crossover(n):
-    # Up to SHORT values the sum is math.fsum's, correctly rounded, with no
-    # low part; one value more is the extraction's.
+    # Up to SHORT values the sum is math.fsum's, correctly rounded; one
+    # value more is the extraction's.
     for seed in range(20):
         values = _signed_wide_values(n, seed)
         exact = _exact_sum(values)
@@ -180,9 +202,8 @@ def test_short_series_at_the_crossover(n):
         assert abs(Fraction(acc.value) - exact) <= Fraction(EPS) / 2 * abs(exact) <= Fraction(acc.err_bound)
         if n <= SHORT:
             assert acc.value == float(exact)
-            assert acc._comp == 0.0
         else:
-            assert _state(acc) == _state(summation._extract_sum(values))
+            assert acc == summation._extract_sum(values)
 
 
 def test_short_series_fallbacks():
@@ -199,7 +220,7 @@ def test_short_series_fallbacks():
         for values, expected in cases:
             values = np.array(values)
             acc = block_sum(values)
-            assert repr(_state(acc)) == repr(_state(summation._extract_sum(values)))
+            assert repr(acc) == repr(summation._extract_sum(values))
             assert repr(acc.value) == repr(expected)
             assert acc.count == values.size and not math.isfinite(acc.err_bound)
     # all -0.0 sums to +0.0 in both regimes
@@ -224,6 +245,13 @@ def test_block_sum_propagates_inf_and_nan():
         assert math.isnan(block_sum(np.array([np.inf, 3.0, -np.inf])).value)
     acc = block_sum(np.array([np.inf, 1.0]))
     assert acc.abs_sum == acc.err_bound == np.inf
+    # across blocks too: the fold's fsum keeps an infinite block's sign
+    long = np.ones(BASE_BLOCK + 10)
+    long[-1] = -np.inf
+    assert block_sum(long).value == -np.inf
+    long[3] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(block_sum(long).value)
 
 
 def test_block_sum_peak_memory():
@@ -329,21 +357,26 @@ def test_reduce_blocks_folds_blocks_in_order(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("reduce_blocks reached the thread pool")
 
-    expected = CompensatedSum()
-    for lo, hi in block_ranges(total):
-        expected.combine(block_sum(terms(lo, hi)))
+    expected = fold([block_sum(terms(lo, hi)) for lo, hi in block_ranges(total)])
     monkeypatch.setattr(summation, "map_blocks", forbidden)
     monkeypatch.setattr(summation, "ThreadPoolExecutor", forbidden)
     got = reduce_blocks(total, terms)
-    assert (got.value, got.abs_sum, got.count) == (expected.value, expected.abs_sum, expected.count)
+    assert got == expected
     assert abs(got.value - math.pi**2 / 6.0) < 1e-5  # partial zeta(2)
 
 
-def test_combine_is_ordered_fold():
+def test_fold_of_blocks_is_block_sum():
     rng = np.random.Generator(np.random.PCG64(1))
     arr = rng.normal(size=3 * BASE_BLOCK)
-    whole = CompensatedSum()
-    for lo, hi in block_ranges(arr.size):
-        whole.combine(block_sum(arr[lo:hi]))
+    whole = fold([block_sum(arr[lo:hi]) for lo, hi in block_ranges(arr.size)])
     assert abs(whole.value - math.fsum(arr.tolist())) <= 1e-9
     assert whole.count == arr.size
+    assert whole == block_sum(arr)
+
+
+def test_block_sum_folds_like_reduce_blocks():
+    # A long array's last block of at most SHORT values is summed by
+    # math.fsum in both, and both fold the blocks with fold.
+    for n in range(BASE_BLOCK + 1, BASE_BLOCK + SHORT + 1):
+        values = _wide_values(n, seed=n)
+        assert block_sum(values) == reduce_blocks(n, lambda lo, hi: values[lo:hi]), n
