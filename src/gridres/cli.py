@@ -199,7 +199,7 @@ def _cmd_rave(args: argparse.Namespace) -> int:
         family = Hypercube(args.hypercube)
     else:
         family = read_edge_list(args.graph)
-    result = rave(family, threads=args.threads, max_terms=args.max_terms)
+    result = rave(family, max_terms=args.max_terms)
     print(f"{result.value:.15g} method={result.method} terms={result.terms}")
     return 0
 
@@ -210,18 +210,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         points = [((m,), Ring(m), None) for m in _require(args.m, "--m")]
     elif args.family == "hypercube":
         points = [((2,) * d, Hypercube(d), bounds_hypercube(d)) for d in _require(args.d, "--d")]
-    elif args.family == "torusd":  # fixed side, dimension range
-        (m, *others), d_values = _require(args.m, "--m"), _require(args.d, "--d")
-        if others:
-            raise ValueError("torusd sweeps take exactly one --m value")
-        points = [((m,) * d, Torus((m,) * d), bounds_torusd(m, d)) for d in d_values]
-    else:
-        d = int(args.family[-1])
-        points = [((m,) * d, Torus((m,) * d), bounds_torus2(m, m) if d == 2 else bounds_torusd(m, d))
-                  for m in _require(args.m, "--m")]
+    else:  # equal sides: torusd has one side and a dimension range, torus2-4 a side range
+        if args.family == "torusd":
+            (m, *others), d_values = _require(args.m, "--m"), _require(args.d, "--d")
+            if others:
+                raise ValueError("torusd sweeps take exactly one --m value")
+            sizes = [(m, d) for d in d_values]
+        else:
+            sizes = [(m, int(args.family[-1])) for m in _require(args.m, "--m")]
+        points = []
+        for m, d in sizes:  # the side's own checks and the bound come before the d sides are built
+            Torus((m,))
+            report = bounds_torus2(m, m) if args.family == "torus2" else bounds_torusd(m, d)
+            dims = (m,) * d
+            points.append((dims, Torus(dims), report))
     rows = []
     for dims, family, report in points:
-        result = rave(family, threads=args.threads, max_terms=args.max_terms)
+        result = rave(family, max_terms=args.max_terms)
         lower, upper = (None, None) if report is None else (report.lower, report.upper)
         rows.append(SweepRow(args.family, len(dims), dims, family.node_count(), result.value,
                              lower, upper, result.method))
@@ -300,11 +305,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_hypercube_ad(args: argparse.Namespace) -> int:
     if args.dmax < 1:
         raise ValueError(f"--dmax must be >= 1, got {args.dmax}")
-    print("d a_recursive a_direct d_rave")
-    for d in range(args.dmax + 1):
-        d_rave = d * rave_hypercube_binomial(d).value
-        print(
-            f"{d} {_fmt17(hypercube_ad_recursive(d))} "
-            f"{_fmt17(hypercube_ad_direct(d))} {_fmt17(d_rave)}"
-        )
+    # Every row is computed before any is printed, from d = dmax down and the
+    # binomial route first, so its float-range gate refuses the largest d
+    # before either O(d) route runs, and a refusal prints nothing.
+    rows = []
+    for d in range(args.dmax, -1, -1):
+        d_rave = _fmt17(d * rave_hypercube_binomial(d).value)
+        rows.append(f"{d} {_fmt17(hypercube_ad_recursive(d))} {_fmt17(hypercube_ad_direct(d))} {d_rave}")
+    print("d a_recursive a_direct d_rave", *reversed(rows), sep="\n")
     return 0

@@ -21,8 +21,8 @@ whole column, diagonal included.
   default OpenBLAS threads (the threads had gone to sleep during the
   loop's matrix-vector calls), against 1-2 ms for the row-at-a-time
   build in most reads.
-- ``last_pivot`` runs it over A alone and returns the last pivot, which
-  is all one pairwise resistance needs.
+- ``last_pivot`` runs it over a copy of A alone and returns the last
+  pivot, which is all one pairwise resistance needs.
 """
 
 from __future__ import annotations
@@ -96,8 +96,12 @@ def last_pivot(lap: np.ndarray) -> float:
     computed it, not as the square of the factor's last diagonal entry.
     Raises SingularSystem as the factorization does, and ValueError for a
     Laplacian of fewer than two nodes, whose grounded system has no pivot.
+    The loop runs over a copy, so lap is left as it was.
     """
-    return _cholesky(_grounded(lap))[1]
+    a = np.array(_grounded(lap), dtype=np.float64)
+    if a.shape[0] == 0:
+        raise ValueError("a one-node Laplacian has no pivot")
+    return _left_looking(a)
 
 
 def _grounded(lap: np.ndarray) -> np.ndarray:
@@ -148,20 +152,6 @@ def _inverse_factor(a: np.ndarray) -> np.ndarray:
     # No view of c outlives the loop, so the buffer can shrink in place.
     c.resize((m, m), refcheck=False)
     return c
-
-
-def _cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky factor of an SPD matrix by left-looking elimination, and its last pivot.
-
-    The matrix is a grounded system, ``_grounded(lap)``, in every caller.
-    The factor is returned in a working copy: its lower triangle is L, and
-    the strict upper triangle still holds a's entries. An empty matrix has
-    no pivot and raises ValueError.
-    """
-    c = np.array(a, dtype=np.float64)
-    if c.shape[0] == 0:
-        raise ValueError("an empty matrix has no pivot")
-    return c, _left_looking(c)
 
 
 def _left_looking(c: np.ndarray) -> float:

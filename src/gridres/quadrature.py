@@ -170,10 +170,10 @@ def _monte_carlo(d: int, budget: int, seed: int, threads: int) -> IntegralEstima
 
 
 def _riemann_refined(d: int, budget: int) -> IntegralEstimate:
-    grid = _largest_grid(d, budget)
-    coarse = max(2, grid // 2)
-    fine_value = _midpoint_mean(d, grid)
-    coarse_value = _midpoint_mean(d, coarse)
+    grid = _largest_grid(d, budget)  # >= 4, as check_estimate requires
+    coarse = grid // 2
+    fine_value = closed_axis_sum([(grid, d)], "midpoint")[0]
+    coarse_value = closed_axis_sum([(coarse, d)], "midpoint")[0]
     err = max(abs(fine_value - coarse_value), 4.0 * EPS * abs(fine_value))
     return IntegralEstimate(
         d, fine_value, err, "riemann_refined", {"grid": grid, "coarse_grid": coarse}
@@ -187,10 +187,6 @@ def _largest_grid(d: int, budget: int) -> int:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if mid**d <= budget else (lo, mid)
     return lo
-
-
-def _midpoint_mean(d: int, grid: int) -> float:
-    return closed_axis_sum([(grid, d)], "midpoint")[0]
 
 
 def interior_sum(m: int, dims: int, threads: int = 1) -> float:

@@ -1,17 +1,18 @@
 """Closed-form Laplacian spectra of tori, and spectral averaging.
 
 A ``SpectrumStream`` holds a graph's N Laplacian eigenvalues, one entry
-each: a torus's sums of one cycle-table entry 4 sin^2(pi k / M_i) per side,
-or a dense eigensolve's.
+each: a torus's (``torus_spectrum``) or a dense eigensolve's.
 
 ``closed_axis_sum`` is the fast route for lattice means. A lattice is its
-(side, count) pairs in increasing side order and a kind in ``LATTICES``:
-"cycle" (a torus's eigenvalues), "midpoint" (the continuum grid's cell
-midpoints) or "interior" (cycle points with no zero index). The longest
-side is summed in closed form and the others fold into one weighted row
-per class of index vectors under mirroring each side and permuting equal
-sides (``folded_rows``): C(floor(M/2) + d - 1, d - 1) rows for side M in d
-dimensions instead of M^(d-1). ``check_lattice`` is its gate; the check is
+(side, count) pairs in increasing side order and a kind in ``LATTICES``.
+Side M's table is t[k] = 4 sin^2(pi x_k) over its points x_k = k/M at
+"cycle" points (a torus's eigenvalues), the same without k = 0 at
+"interior" points, and x_k = (k + 1/2)/M at "midpoint"s (cell midpoints
+of the continuum grid), k in [0, M). The longest side is summed in closed
+form and the others fold into one weighted row per class of index vectors
+under mirroring each side and permuting equal sides (``folded_rows``):
+C(floor(M/2) + d - 1, d - 1) rows for side M in d dimensions instead of
+M^(d-1). ``check_lattice`` is its gate; the check is
 ``spectral_rave(torus_spectrum(dims))``, which enumerates all N terms.
 """
 
@@ -57,18 +58,15 @@ class ResistanceResult:
     err_bound: float
 
 
-def side_contribution_table(m: int, lattice: str = "cycle") -> np.ndarray:
-    """Per-axis contributions t[k] = 4 sin^2(pi x_k), k in [0, m), of one side of a lattice.
+def side_contribution_table(m: int) -> np.ndarray:
+    """The m-cycle's eigenvalues t[k] = 4 sin^2(pi k / m) = 2 - 2 cos(2 pi k / m), k in [0, m).
 
-    Cycle points x_k = k/m give the cycle eigenvalues 2 - 2 cos(2 pi k/m);
-    midpoints x_k = (k + 1/2)/m never hit the lattice images of the origin;
-    interior tables drop the cycle table's k = 0. The lower half is
-    ``half_table``; the upper half mirrors it bit-exactly, t[k] == t[m - k]
-    at cycle points and t[k] == t[m - 1 - k] at midpoints.
+    The angle is reduced to pi min(k, m - k) / m, which keeps full relative
+    accuracy for small angles and makes the mirror t[k] == t[m - k] exact.
     """
-    lower, _ = half_table(m, lattice)
-    mirror = lower[1:] if lattice == "cycle" else lower  # k = 0 is its own mirror image
-    return np.concatenate((lower, mirror[: m - (lattice == "interior") - lower.size][::-1]))
+    k = np.arange(m, dtype=np.float64)
+    s = np.sin(np.pi * (np.minimum(k, m - k) / m))
+    return 4.0 * s * s
 
 
 def _require_lattice(lattice: str) -> None:
@@ -82,14 +80,15 @@ def _half_length(m: int, lattice: str) -> int:  # entries of half_table(m, latti
 
 
 def half_table(m: int, lattice: str = "cycle") -> tuple[np.ndarray, np.ndarray]:
-    """The distinct entries of ``side_contribution_table(m, lattice)`` and their multiplicities.
+    """The distinct entries of side m's table t[k] = 4 sin^2(pi x_k) and their multiplicities.
 
     Returns t[k] for k up to the mirror point, k <= m/2 at cycle points
     (from k = 1 for interior) and k <= (m - 1)/2 at midpoints, and how often
     each occurs in the full table: twice, except the entries that are
     their own mirror image, k = 0 and k = m/2 (m even) at cycle points and
-    k = (m - 1)/2 (m odd) at midpoints. sin is evaluated on the reduced
-    rational argument, which keeps full relative accuracy for small angles.
+    k = (m - 1)/2 (m odd) at midpoints. The points x_k are the lattice's
+    (module docstring); sin is evaluated on the reduced rational argument,
+    which keeps full relative accuracy for small angles.
     """
     start = int(lattice == "interior")
     k = np.arange(start, start + _half_length(m, lattice), dtype=np.float64)
@@ -176,7 +175,7 @@ def folded_rows(
     """Distinct row values a = sum_i t_i[h_i] over a lattice, and their weights.
 
     ``groups`` are (side, count) pairs in increasing side order, and t_i is
-    ``side_contribution_table(side_i, lattice)``. Mirroring an axis and
+    4 sin^2(pi x) over side i's lattice points x. Mirroring an axis and
     permuting equal sides leave a unchanged, so each row stands for one
     class of index vectors h. Every side keeps its ``half_table``, and a
     group of g equal sides is enumerated as non-decreasing index g-tuples:
@@ -270,7 +269,7 @@ def closed_axis_sum(
     """Mean of 1 / sum_i t_i[h_i] over a lattice's N index vectors, its longest side in closed form.
 
     ``groups`` are (side, count) pairs in increasing side order, t_i is
-    ``side_contribution_table(side_i, lattice)``, and a cycle lattice drops
+    4 sin^2(pi x) over side i's lattice points x, and a cycle lattice drops
     h = 0. Raises as ``check_lattice``; returns (sum / N, err_bound / N), the
     bound covering the summation and every row's evaluation and weighting.
 

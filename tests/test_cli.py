@@ -1,6 +1,7 @@
 import math
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -113,6 +114,23 @@ def test_sweep_past_the_float_range_exits_3(capsys, tmp_path):
         code, out, err = run(capsys, "sweep", *argv, "--out", str(out_file))
         assert code == 3 and out == ""
         assert err.startswith("gridres: ") and err.endswith("leaves the float range\n") and err.count("\n") == 1
+    assert not out_file.exists()
+
+
+def test_sweep_torusd_bound_refuses_before_the_sides_are_built(capsys, tmp_path):
+    # The bound refuses 4^1000000 from (M, d) alone, so no million-long side
+    # list (8 MB of pointers) is built before the refusal.
+    out_file = tmp_path / "far.csv"
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "sweep", "--family", "torusd", "--m", "4", "--d", "1000000",
+                             "--out", str(out_file))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert err == "gridres: T3_torusd: a bound leaves the float range\n"
+    assert peak < 2**20
     assert not out_file.exists()
 
 
@@ -383,6 +401,22 @@ def test_hypercube_ad_table(capsys):
         if 5 <= d < 42:
             assert table[d + 1][0] < a_rec
     assert 1.0 <= table[40][2] <= 1.05
+
+
+def test_hypercube_ad_refusal_prints_no_rows(capsys):
+    # Q_1024 leaves the float range: the whole table is refused with stdout
+    # empty, and the gate meets the largest d before any O(d) route runs, so
+    # a billion dimensions are refused at once.
+    for dmax in ("1024", str(10**9)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hypercube-ad", "--dmax", dmax)
+        assert time.perf_counter() - start < 2.0
+        assert code == 3 and out == ""
+        assert err == f"gridres: 2^{dmax} hypercube nodes leave the float range\n"
+    code, out, err = run(capsys, "hypercube-ad", "--dmax", "50")
+    lines = out.splitlines()
+    assert code == 0 and err == ""
+    assert [line.split()[0] for line in lines] == ["d", *map(str, range(51))]
 
 
 def test_hypercube_ad_validation(capsys):

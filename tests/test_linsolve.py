@@ -17,7 +17,7 @@ from gridres import (
     rave,
     rave_definition_oracle,
 )
-from gridres.linsolve import _cholesky, _left_looking, last_pivot
+from gridres.linsolve import _left_looking, last_pivot
 from gridres.verify import random_connected_graph
 
 K3 = Explicit(3, [(0, 1), (1, 2), (0, 2)])
@@ -86,6 +86,14 @@ def test_last_pivot_is_the_kron_reduced_conductance():
         last_pivot(build_laplacian(Explicit(3, [(0, 1)])))
 
 
+def test_last_pivot_leaves_its_argument_alone():
+    # last_pivot is public: it factors a copy of the grounded system, never the caller's Laplacian.
+    lap = build_laplacian(random_connected_graph(np.random.Generator(np.random.PCG64(3)), max_nodes=30))
+    before = lap.copy()
+    assert last_pivot(lap) > 0.0
+    assert np.array_equal(lap, before)
+
+
 def test_green_matrix_matches_column_solves():
     lap = build_laplacian(Ring(5))
     solver = GroundedSolver(lap)
@@ -141,7 +149,8 @@ def test_cholesky_bit_identical_to_reference_loop(seed):
     g = random_connected_graph(rng, max_nodes=40)
     lap = build_laplacian(g)
     a = lap[1:, 1:]
-    work, pivot = _cholesky(a)
+    work = a.copy()
+    pivot = _left_looking(work)
     factor = np.tril(work)  # the working array's lower triangle is the factor
     assert np.array_equal(factor, _cholesky_reference(a))
     assert pivot == last_pivot(lap)
@@ -157,7 +166,8 @@ def test_cholesky_within_rounding_of_previous_loop(seed):
     g = random_connected_graph(rng, max_nodes=100)
     a = build_laplacian(g)[1:, 1:]
     m = a.shape[0]
-    work, pivot = _cholesky(a)
+    work = a.copy()
+    pivot = _left_looking(work)
     factor = np.tril(work)
     eps = np.finfo(np.float64).eps
     assert np.max(np.abs(factor - _cholesky_previous(a))) <= 2 * m * eps * np.max(np.abs(factor))

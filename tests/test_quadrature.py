@@ -20,9 +20,10 @@ from gridres import (
     rave_torus,
 )
 import gridres.quadrature
-from gridres.quadrature import CHUNK_ROWS, MAX_SAMPLES, _midpoint_mean, check_estimate
-from gridres.spectrum import side_contribution_table
+from gridres.quadrature import CHUNK_ROWS, MAX_SAMPLES, check_estimate
+from gridres.spectrum import closed_axis_sum
 from gridres.summation import BASE_BLOCK, EPS, block_ranges, block_sum, fold
+from test_spectrum import point_table
 
 # midpoint extrapolation over grids 64/128/256 agrees with this to 5 digits
 I3_REFERENCE = 0.2527310098
@@ -112,21 +113,21 @@ def test_interior_sum_examples():
 
 def enumerated_mean(tables):
     """Mean of 1 / sum_i tables[i][h_i] over every index vector h, in plain Python."""
-    terms = [1.0 / math.fsum(entries) for entries in itertools.product(*(t.tolist() for t in tables))]
+    terms = [1.0 / math.fsum(entries) for entries in itertools.product(*tables)]
     return math.fsum(terms) / len(terms)
 
 
 @pytest.mark.parametrize("m,d", [(3, 1), (7, 1), (4, 2), (9, 2), (5, 3), (8, 3), (4, 4), (6, 4)])
 def test_interior_sum_matches_enumeration(m, d):
-    interior = side_contribution_table(m, "interior")
+    interior = point_table(m, "interior")
     expected = enumerated_mean([interior] * d) * ((m - 1) / m) ** d
     assert abs(interior_sum(m, d) - expected) <= 1e-14 * expected
 
 
 @pytest.mark.parametrize("d,grid", [(1, 5), (1, 8), (2, 7), (3, 6), (3, 11), (4, 5)])
 def test_midpoint_mean_matches_enumeration(d, grid):
-    expected = enumerated_mean([side_contribution_table(grid, "midpoint")] * d)
-    assert abs(_midpoint_mean(d, grid) - expected) <= 1e-14 * expected
+    expected = enumerated_mean([point_table(grid, "midpoint")] * d)
+    assert abs(closed_axis_sum([(grid, d)], "midpoint")[0] - expected) <= 1e-14 * expected
 
 
 def test_interior_sum_validation():

@@ -34,6 +34,18 @@ from gridres.spectrum import (
 )
 
 
+def point_table(m, lattice="cycle"):
+    """4 sin^2(pi x) at one side's lattice points x, in plain Python floats.
+
+    x is k/m at cycle points (from k = 1 at interior points) and (k + 1/2)/m
+    at midpoints. Each angle is reduced to pi times the distance from x to
+    the nearer of 0 and 1, so mirror points give bit-identical entries.
+    """
+    shift = 0.5 if lattice == "midpoint" else 0.0
+    points = [k + shift for k in range(int(lattice == "interior"), m)]
+    return [4.0 * math.sin(math.pi * (min(p, m - p) / m)) ** 2 for p in points]
+
+
 def multiset(stream):
     return np.sort(stream.values)
 
@@ -182,12 +194,33 @@ def test_contribution_table_symmetry():
 
 def test_midpoint_table_symmetry():
     for m in (1, 2, 3, 4, 5, 12, 101):
-        table = side_contribution_table(m, "midpoint")
+        table = point_table(m, "midpoint")
         for k in range(m):
             assert table[k] == table[m - 1 - k]  # exact mirror
+        values, _ = half_table(m, "midpoint")
+        assert values.size == (m + 1) // 2  # the lower half, the middle point of an odd m included
         direct = 4.0 * np.sin(np.pi * (np.arange(m) + 0.5) / m) ** 2
-        assert np.max(np.abs(table - direct)) <= 1e-14
-        assert np.all(table > 0.0)
+        assert np.max(np.abs(values - direct[: values.size])) <= 1e-14
+        assert np.max(np.abs(np.array(table) - direct)) <= 1e-14
+        assert np.all(values > 0.0)
+
+
+def test_cycle_table_matches_the_mirrored_half_table():
+    # The cycle table is built directly, not mirrored from the folded route's half
+    # table, and every bit still agrees: the torus eigenvalues did not move.
+    for m in range(1, 401):
+        lower, _ = half_table(m)
+        mirrored = np.concatenate((lower, lower[1:][: m - lower.size][::-1]))
+        assert side_contribution_table(m).tobytes() == mirrored.tobytes()
+
+
+def test_torus_spectrum_reads_no_half_table(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("torus_spectrum read the folded route's half table")
+
+    monkeypatch.setattr(spectrum, "half_table", forbidden)
+    assert np.allclose(multiset(torus_spectrum([3, 4])), sorted(
+        a + b for a in point_table(3) for b in point_table(4)), rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("dims", [(3, 4, 5), (3, 5, 7)], ids=["3x4x5", "3x5x7"])
@@ -234,7 +267,7 @@ def _groups(sides):
 
 
 def _plain_lattice_mean(dims, lattice):
-    tables = [side_contribution_table(m, lattice) for m in dims]
+    tables = [point_table(m, lattice) for m in dims]
     terms = []
     for entries in itertools.product(*tables):
         total = math.fsum(entries)
@@ -264,12 +297,12 @@ def test_half_table_multiplicities():
     for lattice in spectrum.LATTICES:
         for m in (1, 2, 3, 4, 5, 12, 101):
             values, mult = half_table(m, lattice)
-            table = side_contribution_table(m, lattice)
-            assert values.tolist() == table[: values.size].tolist()
-            assert mult.tolist() == [table.tolist().count(v) for v in values.tolist()]
+            table = point_table(m, lattice)
+            lower = table[: values.size]
+            assert all(abs(v - t) <= 1e-14 * t for v, t in zip(values.tolist(), lower))
+            assert mult.tolist() == [table.count(t) for t in lower]
             if lattice == "interior":  # the cycle half table from k = 1, bit for bit
                 assert values.tolist() == half_table(m)[0][1:].tolist()
-                assert table.tolist() == side_contribution_table(m)[1:].tolist()
 
 
 @pytest.mark.parametrize(("dims", "rows"), [((6,) * 8, 120), ((4,) * 10, 55), ((16,) * 5, 495), ((128,) * 3, 2145)])
@@ -295,7 +328,6 @@ def test_unknown_lattice_kind_raises():
     groups = [(5, 1), (6, 2)]
     for call in (
         lambda: half_table(5, "both"),
-        lambda: side_contribution_table(5, "both"),
         lambda: check_lattice(groups, "both"),
         lambda: closed_axis_sum(groups, "both"),
         lambda: closed_axis_sum([(5, 1)], "midpoint interior"),
