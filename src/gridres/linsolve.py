@@ -39,9 +39,18 @@ class GroundedSolver:
     """Inverse Cholesky factor of a Laplacian grounded at node 0, from one column loop."""
 
     def __init__(self, lap: np.ndarray) -> None:
-        self._inv = _inverse_factor(_grounded(lap))
+        a = _grounded(lap)
+        m = a.shape[0]
+        self.n = m + 1
+        c = np.zeros((2 * m, m))
+        c[:m] = a
+        # The stack holds the grounded system now: drop the Laplacian and its
+        # view, so that a caller who handed over its only reference (see
+        # resistance._grounded_solver) does not keep n x n floats through
+        # the factorization.
+        del lap, a
+        self._inv = _inverse_factor(c)
         self._inv.flags.writeable = False
-        self.n = lap.shape[0]
 
     @property
     def inverse_factor(self) -> np.ndarray:
@@ -122,15 +131,17 @@ def _pivot_floor(a: np.ndarray) -> float:
     return max(float(np.max(np.diag(a))), 1.0) * a.shape[0] * EPS * 16.0
 
 
-def _inverse_factor(a: np.ndarray) -> np.ndarray:
-    """Y = L^-1 for the Cholesky factor L of an SPD matrix, from the stacked column loop.
+def _inverse_factor(c: np.ndarray) -> np.ndarray:
+    """Y = L^-1 for the Cholesky factor L of an SPD matrix A, from the stacked column loop.
 
-    Factoring [[A, I], [I, .]] gives [[L, 0], [L21, .]] with L21 L^T = I,
-    so L21 = L^-T = Y^T (Golub & Van Loan, Matrix Computations, 4.2). The
-    working array is the 2m x m stack [A; I], and ``_left_looking`` writes
-    L over its top half and Y^T over its bottom half. Y is then copied,
-    transposed, over the spent L, and the bottom half is cut off, so no
-    third m x m array is held. m = 0 gives a (0, 0) Y.
+    c is the 2m x m stack with A in its top half and zeros below, and it is
+    consumed. Factoring [[A, I], [I, .]] gives [[L, 0], [L21, .]] with
+    L21 L^T = I, so L21 = L^-T = Y^T (Golub & Van Loan, Matrix
+    Computations, 4.2). The identity goes into the bottom half, and
+    ``_left_looking`` writes L over the top half and Y^T over the bottom
+    half. Y is then copied, transposed, over the spent L, and the bottom
+    half is cut off, so no third m x m array is held. m = 0 gives a
+    (0, 0) Y.
 
     Every entry of Y is >= 0, also in floating point, and the Green-trace
     bound relies on it. A grounded Laplacian is an M-matrix: its entries
@@ -142,9 +153,7 @@ def _inverse_factor(a: np.ndarray) -> np.ndarray:
     only grows. Every sum adds terms of one sign, so rounding keeps these
     signs, and dividing by a positive square root keeps them too.
     """
-    m = a.shape[0]
-    c = np.zeros((2 * m, m))
-    c[:m] = a
+    m = c.shape[1]
     np.fill_diagonal(c[m:], 1.0)
     if m:
         _left_looking(c)

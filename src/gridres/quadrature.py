@@ -14,14 +14,18 @@ cycle points with no zero index. A budget counts lattice points, not the
 C(ceil(grid/2) + d - 2, d - 1) folded rows summed, which
 ``spectrum.check_lattice`` caps. Those sums run serially. Seeded Monte
 Carlo is the one estimator that uses worker threads; it draws a fixed
-per-block sample stream, so no result depends on the worker count.
+per-block sample stream, so no result depends on the worker count. Its
+integrand's denominator sums sin^2 over each sample's coordinates with
+one of two kernels, chosen once per process from numpy's CPU dispatch:
+through tan where numpy runs float64 tan as SIMD code, through sin
+elsewhere (see ``_select_sin_squares``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -52,18 +56,64 @@ class IntegralEstimate:
     params: dict[str, Any]
 
 
+def _sin_squares_by_sin(theta: np.ndarray, out: np.ndarray) -> None:
+    """Row sums of sin^2(theta) into out, through numpy's sin; theta is overwritten."""
+    np.sin(theta, out=theta)
+    np.einsum("ij,ij->i", theta, theta, out=out)
+
+
+def _sin_squares_by_tan(theta: np.ndarray, out: np.ndarray) -> None:
+    """Row sums of sin^2(theta) = t^2 / (1 + t^2), t = tan(theta), into out; theta is overwritten.
+
+    At theta = +-pi/2 in float64, t is about 1.6e16, 1 + t^2 rounds to t^2
+    and the quotient is exactly 1. 1 + t^2 goes into a temporary of
+    theta's size. In the continuum_limit benchmark a per-thread scratch
+    array reused across chunks read 0.5-0.7 MiB more peak RSS, and an
+    in-place 1 / (1 + 1/t^2), with no second array, read the same.
+    """
+    np.tan(theta, out=theta)
+    np.square(theta, out=theta)
+    np.divide(theta, np.add(theta, 1.0), out=theta)
+    np.einsum("ij->i", theta, out=out)
+
+
+def _select_sin_squares() -> Callable[[np.ndarray, np.ndarray], None]:
+    """The sin^2 row kernel for this process: through tan where numpy's float64 tan is SIMD code.
+
+    numpy runs float64 sin as scalar libm code, about 11 ns per value on
+    an AVX-512 machine, and float64 tan as an AVX-512 loop where the CPU
+    has one, 1.6 ns per value. Its baseline tan takes about 16 ns, slower
+    than sin, so the tan kernel is chosen only where
+    ``numpy.lib.introspect.opt_func_info`` reports a float64 tan loop other
+    than the baseline one. numpy < 2.0 has no such report and gets the sin
+    kernel, as does a numpy whose report raises ImportError.
+    """
+    try:
+        from numpy.lib.introspect import opt_func_info
+
+        loops = opt_func_info(func_name="^tan$", signature="float64").get("tan", {})
+    except ImportError:
+        return _sin_squares_by_sin
+    if any(not loop["current"].startswith("baseline") for loop in loops.values()):
+        return _sin_squares_by_tan
+    return _sin_squares_by_sin
+
+
+_sin_squares = _select_sin_squares()
+
+
 def _denominators(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Row-wise 4 sum_i sin^2(pi x_i), the integrand's denominator, into out.
 
-    x is overwritten with the sines. Coordinates are reduced to their
-    distance from the nearest integer before the sine evaluation, so the
-    denominator keeps full relative accuracy close to the singular lattice
-    images of the origin. A zero denominator raises SingularPoint.
+    x is overwritten. Coordinates are reduced to y in [-1/2, 1/2], their
+    signed offset from the nearest integer, before the row kernel
+    ``_sin_squares`` evaluates sin^2(pi y), so the denominator keeps full
+    relative accuracy close to the singular lattice images of the origin.
+    A zero denominator raises SingularPoint.
     """
     x -= np.round(x)
     x *= np.pi
-    np.sin(x, out=x)
-    np.einsum("ij,ij->i", x, x, out=out)
+    _sin_squares(x, out)
     out *= 4.0
     if np.any(out == 0.0):
         raise SingularPoint("integrand evaluated at a lattice image of the origin")
@@ -91,12 +141,16 @@ def estimate_integral(
     monte_carlo: uniform samples on the unit cube, split into fixed
     blocks seeded independently of the worker count; err is three standard
     errors. Each worker draws and evaluates its block CHUNK_ROWS samples at
-    a time, so it holds one chunk of samples, not one block. At d = 3 the
-    integrand's variance is infinite, so this "3 sigma" band under-covers:
-    at 10^4 samples it misses the integral on 33 of seeds 0-299, against a
-    nominal 0.27%. riemann_refined: midpoint rule on the largest grid
-    fitting the budget, with the half-resolution grid supplying a
-    deterministic err. A monte_carlo budget above MAX_SAMPLES (2^32)
+    a time, so it holds one chunk of samples, not one block. The sin^2
+    sums go through tan where numpy's float64 tan is SIMD code and through
+    sin elsewhere (``_select_sin_squares``); the two kernels agree within
+    10 eps relative per coordinate, so machines may differ in the last bits
+    of an estimate, while one machine gives the same bits for every thread
+    count. At d = 3 the integrand's variance is infinite, so this "3 sigma"
+    band under-covers: at 10^4 samples it misses the integral on 33 of
+    seeds 0-299, against a nominal 0.27%. riemann_refined: midpoint rule
+    on the largest grid fitting the budget, with the half-resolution grid
+    supplying a deterministic err. A monte_carlo budget above MAX_SAMPLES (2^32)
     raises SizeExceeded before any sample is drawn or any block range is
     built; riemann_refined's grid is capped by spectrum.check_lattice.
 

@@ -1,6 +1,8 @@
 import itertools
 import math
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -222,8 +224,10 @@ def unstreamed_monte_carlo(d, budget, seed):
     for lo, hi in block_ranges(budget):
         key = np.random.SeedSequence(entropy=seed, spawn_key=(lo // BASE_BLOCK,))
         x = np.random.Generator(np.random.Philox(key)).random((hi - lo, d))
-        s = np.sin(np.pi * (x - np.round(x)))
-        f = 1.0 / (4.0 * np.einsum("ij,ij->i", s, s))
+        theta = np.pi * (x - np.round(x))
+        sin_squares = np.empty(hi - lo)
+        gridres.quadrature._sin_squares(theta, sin_squares)
+        f = 1.0 / (4.0 * sin_squares)
         parts.append(block_sum(f))
         parts_sq.append(block_sum(f * f))
     acc, acc_sq = fold(parts), fold(parts_sq)
@@ -242,6 +246,80 @@ def test_streamed_monte_carlo_is_bit_identical(d, budget):
     expected = unstreamed_monte_carlo(d, budget, 42)
     for threads in (1, 2):
         assert estimate_integral(d, budget=budget, seed=42, threads=threads) == expected
+
+
+@pytest.mark.parametrize("kernel", ["_sin_squares_by_sin", "_sin_squares_by_tan"])
+def test_streamed_monte_carlo_is_bit_identical_with_either_kernel(monkeypatch, kernel):
+    # whichever kernel this machine's numpy selects, the other one streams bit for bit too
+    monkeypatch.setattr(gridres.quadrature, "_sin_squares", getattr(gridres.quadrature, kernel))
+    expected = unstreamed_monte_carlo(5, BASE_BLOCK + 4097, 7)
+    for threads in (1, 2):
+        assert estimate_integral(5, budget=BASE_BLOCK + 4097, seed=7, threads=threads) == expected
+
+
+def sin_square_angles():
+    """pi y for 10^5 fixed-seed y = x - round(x), x uniform on [0, 1), and y = 0, 2^-53, 1/4, 1/2."""
+    x = np.random.default_rng(20240).random(10**5)
+    y = np.concatenate([x - np.round(x), [0.0, 2.0**-53, 0.25, 0.5]])
+    return np.pi * y
+
+
+@pytest.mark.parametrize("kernel", ["_sin_squares_by_sin", "_sin_squares_by_tan"])
+def test_sin_square_kernels_against_a_wider_sine(kernel):
+    # numpy documents its bundled SVML float64 routines, tan among them, as
+    # within 4 ulp, so t = tan(theta) (1 + a) with |a| <= 4 eps. Squaring
+    # rounds once (u = eps/2), and t^2 / (1 + t^2) has relative sensitivity
+    # 1 / (1 + t^2) <= 1 to t^2; adding 1 and dividing round once each. To
+    # first order the tan kernel is within 8 eps + 3u = 9.5 eps relative of
+    # sin^2(theta); 10 eps covers the second-order terms. A sine within the
+    # same 4 ulp gives 8 eps + u through the sin kernel. Measured on an
+    # AVX-512 CPU with numpy 2.4: the tan kernel 3.6 ulp (2.1 eps
+    # relative) at most, the sin kernel 1.9 ulp (1.4 eps).
+    theta = sin_square_angles()
+    eps = np.finfo(np.float64).eps
+    bound = 10 * eps
+    if np.finfo(np.longdouble).eps < eps:
+        reference = np.sin(theta.astype(np.longdouble)) ** 2
+    else:
+        # no wider float here: libm's sine, taken as within 1 ulp, squared
+        # in float64 is itself within 2.5 eps
+        reference = np.array([math.sin(t) ** 2 for t in theta])
+        bound += 2.5 * eps
+    rows = theta[:, None].copy()
+    out = np.empty(len(theta))
+    getattr(gridres.quadrature, kernel)(rows, out)
+    error = np.abs(out - reference)
+    worst = float(np.max(error / np.where(reference > 0, reference, 1)) / eps)
+    assert np.all(error <= bound * reference), f"{worst:.2f} eps relative"
+
+
+def fake_dispatch_report(report):
+    module = types.ModuleType("numpy.lib.introspect")
+    module.opt_func_info = report
+    return module
+
+
+def raise_import_error(func_name=None, signature=None):
+    raise ImportError("no dispatch report")
+
+
+@pytest.mark.parametrize(
+    "introspect, kernel",
+    [
+        (fake_dispatch_report(lambda func_name, signature: {"tan": {"dd": {"current": "X86_V4"}}}), "_sin_squares_by_tan"),
+        (fake_dispatch_report(lambda func_name, signature: {"tan": {"dd": {"current": "baseline(X86_V2)"}}}), "_sin_squares_by_sin"),
+        (fake_dispatch_report(raise_import_error), "_sin_squares_by_sin"),
+        (None, "_sin_squares_by_sin"),  # as on numpy < 2.0, the module does not import
+    ],
+    ids=["simd", "baseline", "report_raises", "no_module"],
+)
+def test_sin_square_kernel_follows_numpy_tan_dispatch(monkeypatch, introspect, kernel):
+    monkeypatch.setitem(sys.modules, "numpy.lib.introspect", introspect)
+    assert gridres.quadrature._select_sin_squares() is getattr(gridres.quadrature, kernel)
+
+
+def test_sin_square_kernel_chosen_once_from_this_numpy():
+    assert gridres.quadrature._sin_squares is gridres.quadrature._select_sin_squares()
 
 
 def test_monte_carlo_peak_memory():

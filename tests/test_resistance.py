@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import gridres.eigen
 import gridres.linsolve
 import gridres.resistance
+import gridres.summation
 from gridres import (
     DisconnectedGraph,
     Explicit,
@@ -165,6 +168,16 @@ def test_hypercube_binomial_examples():
         rave_hypercube_binomial(1024)
 
 
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 50, 300, 1023])
+def test_hypercube_binomial_running_product_is_the_comb_sum(d):
+    # the running product yields the same exact integers as math.comb, so
+    # every term, and so the value and its bound, are bit for bit the same
+    terms = np.array([math.comb(d, m) / (2.0 * m) for m in range(d, 0, -1)], dtype=np.float64)
+    acc = gridres.summation.block_sum(terms)
+    result = rave_hypercube_binomial(d)
+    assert (result.value, result.err_bound) == (acc.value / float(2**d), acc.err_bound / float(2**d))
+
+
 def test_hypercube_recursive_examples():
     assert rave_hypercube_recursive(0).value == 0.0
     assert abs(rave_hypercube_recursive(2).value - 5.0 / 16.0) <= 1e-15
@@ -242,6 +255,34 @@ def test_pairwise_reads_the_pivot_without_solving(monkeypatch):
     monkeypatch.setattr(gridres.linsolve.GroundedSolver, "__init__", forbidden)
     monkeypatch.setattr(gridres.linsolve, "_inverse_factor", forbidden)
     assert abs(pairwise_reff(Ring(5), 0, 2) - 1.2) <= 1e-12
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+    reason="a called Python function owns its argument references from CPython 3.11",
+)
+def test_factorization_runs_without_the_laplacian(monkeypatch):
+    # rave's Green trace and the oracle hand their Laplacian to the solver,
+    # which drops it once the stacked system holds it: nothing keeps the
+    # n x n array alive through the column loop.
+    build, left_looking = gridres.resistance.build_laplacian, gridres.linsolve._left_looking
+    laplacians, alive = [], []
+
+    def recording(g, **kwargs):
+        lap = build(g, **kwargs)
+        laplacians.append(weakref.ref(lap))
+        return lap
+
+    def checking(c):
+        alive.append(laplacians[-1]() is not None)
+        return left_looking(c)
+
+    monkeypatch.setattr(gridres.resistance, "build_laplacian", recording)
+    monkeypatch.setattr(gridres.linsolve, "_left_looking", checking)
+    g = Explicit(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)])
+    assert rave(g).value == gridres.resistance._rave_green_trace(g).value
+    rave_definition_oracle(g)
+    assert alive == [False, False, False]
 
 
 @settings(max_examples=25, deadline=None)
