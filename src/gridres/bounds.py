@@ -1,8 +1,10 @@
-"""Closed-form lower/upper bounds on average resistance, with verdicts.
+"""Closed-form lower/upper bounds on average resistance, and sandwich verdicts.
 
 Each bound op reports its applicability instead of raising, so parameter
 sweeps stay total: an inapplicable input yields a report with
-applicable=False and unset bound values. A bound that leaves the float
+applicable=False and unset bound values. Integer arguments (M1, M2, M, d,
+N and the scenario) pass ``families.require_int`` first, so a float, NaN
+or bool raises InvalidFamily; c is real. A bound that leaves the float
 range raises Overflow. All logarithms are natural.
 """
 
@@ -10,10 +12,11 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .errors import NonIntegralSides, Overflow
+from .families import require_int
 
 TAG_TORUS2 = "T2_torus2"
 TAG_TORUSD = "T3_torusd"
@@ -26,7 +29,7 @@ SANDWICH_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Bounds for one parameter point plus an optional sandwich verdict."""
+    """Bounds for one parameter point, or why they do not apply."""
 
     theorem: str
     params: dict[str, Any]
@@ -34,15 +37,12 @@ class BoundReport:
     reason: str = ""
     lower: float | None = None
     upper: float | None = None
-    computed: float | None = None
-    sandwich_ok: bool | None = None
 
-    def with_computed(self, value: float) -> "BoundReport":
-        """Attach a computed value; the verdict allows SANDWICH_SLACK play."""
+    def contains(self, value: float) -> bool | None:
+        """Whether value lies in [lower, upper] up to SANDWICH_SLACK; None if inapplicable."""
         if not self.applicable:
-            return replace(self, computed=value, sandwich_ok=None)
-        ok = self.lower - SANDWICH_SLACK <= value <= self.upper + SANDWICH_SLACK
-        return replace(self, computed=value, sandwich_ok=ok)
+            return None
+        return self.lower - SANDWICH_SLACK <= value <= self.upper + SANDWICH_SLACK
 
 
 def _inapplicable(theorem: str, params: dict[str, Any], reason: str) -> BoundReport:
@@ -65,6 +65,7 @@ def bounds_torus2(m1: int, m2: int) -> BoundReport:
     Lower: the larger of the aspect-ratio branch M2/(12 M1) - 1/24 and the
     logarithmic branch log(M1)/(2 pi) - M2/(12 M1) - 1/2.
     """
+    m1, m2 = require_int(m1, "M1"), require_int(m2, "M2")
     params = {"M1": m1, "M2": m2}
     if not (4 <= m1 <= m2):
         return _inapplicable(TAG_TORUS2, params, f"requires 4 <= M1 <= M2, got ({m1}, {m2})")
@@ -86,6 +87,7 @@ def bounds_torusd(m: int, d: int) -> BoundReport:
     Lower: 1/(4d). Upper: (8/(d+1)) (1 + 1/M)^(d+1) plus a finite-size
     correction d/(4 M^(d-2)) * (1/3 + (d-1) log(M)/pi).
     """
+    m, d = require_int(m, "M"), require_int(d, "d")
     params = {"M": m, "d": d}
     if d < 3:
         return _inapplicable(TAG_TORUSD, params, f"requires d >= 3, got d={d}")
@@ -102,6 +104,7 @@ def bounds_torusd(m: int, d: int) -> BoundReport:
 
 def bounds_hypercube(d: int) -> BoundReport:
     """Hypercube bounds 1/(2(d+1)) .. 2/(d+1); needs d >= 2."""
+    d = require_int(d, "d")
     params = {"d": d}
     if d < 2:
         return _inapplicable(TAG_HYPERCUBE, params, f"requires d >= 2, got d={d}")
@@ -112,6 +115,7 @@ def bounds_hypercube(d: int) -> BoundReport:
 
 def bounds_integral(d: int) -> BoundReport:
     """Continuum-integral bounds 1/(4d) .. 4/d; needs d >= 3."""
+    d = require_int(d, "d")
     params = {"d": d}
     if d < 3:
         return _inapplicable(TAG_INTEGRAL, params, f"requires d >= 3, got d={d}")
@@ -123,17 +127,17 @@ def scenario_bounds(scenario: int, c: float, n: int) -> BoundReport:
 
     Scenario 1 fixes one side at c and grows the other as N/c; scenario 2
     splits N as N^(1/c) x N^((c-1)/c); scenario 3 keeps the sides
-    proportional with ratio c. c must be finite and positive and N at
-    least 1 (ValueError otherwise). Side lengths that fail to be integers
-    raise NonIntegralSides; integral sides that miss a scenario gate produce
-    an inapplicable report. Overflow where a side or bound leaves the float
-    range, as for an N beyond it.
+    proportional with ratio c. c must be finite and positive and N an
+    integer (InvalidFamily) of at least 1 (ValueError otherwise). Side
+    lengths that fail to be integers raise NonIntegralSides; integral sides
+    that miss a scenario gate produce an inapplicable report. Overflow where
+    a side or bound leaves the float range, as for an N beyond it.
     """
-    if scenario not in (1, 2, 3):
+    if (scenario := require_int(scenario, "scenario")) not in (1, 2, 3):
         raise ValueError(f"scenario must be 1, 2 or 3, got {scenario}")
     if not 0 < c < math.inf:
         raise ValueError(f"c must be finite and positive, got {c}")
-    if n < 1:
+    if (n := require_int(n, "N")) < 1:
         raise ValueError(f"N must be positive, got {n}")
     tag = TAG_SCENARIO[scenario]
     with _float_range(tag):

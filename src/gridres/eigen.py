@@ -76,13 +76,8 @@ def eigenvalues_symmetric(matrix: np.ndarray) -> np.ndarray:
 def null_mode_count(eigenvalues: np.ndarray) -> int:
     """Number of eigenvalues treated as null modes.
 
-    An eigenvalue is a null mode iff |lambda| <= 1e-9 * lambda_max; a
-    connected graph has exactly one.
+    An eigenvalue is a null mode iff |lambda| <= 1e-9 * max |lambda|, every
+    entry of an all-zero spectrum; a connected graph has exactly one.
     """
-    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    if eigenvalues.size == 0:
-        return 0
-    lam_max = float(np.max(np.abs(eigenvalues)))
-    if lam_max == 0.0:
-        return int(eigenvalues.size)
-    return int(np.count_nonzero(np.abs(eigenvalues) <= 1e-9 * lam_max))
+    magnitudes = np.abs(np.asarray(eigenvalues, dtype=np.float64))
+    return int(np.count_nonzero(magnitudes <= 1e-9 * np.max(magnitudes, initial=0.0)))

@@ -22,7 +22,7 @@ class SingularSystem(DisconnectedGraph):
 
 
 class DisconnectedSpectrum(DisconnectedGraph):
-    """A spectrum stream carries more than one zero eigenvalue."""
+    """A spectrum carries other than one null mode (zero eigenvalue)."""
 
 
 class Overflow(GridResError):

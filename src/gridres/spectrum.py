@@ -1,7 +1,7 @@
 """Closed-form Laplacian spectra of tori, and spectral averaging.
 
 A ``SpectrumStream`` holds a graph's N Laplacian eigenvalues, one entry
-each: a torus's (``torus_spectrum``) or a dense eigensolve's.
+each, null mode first: a torus's (``torus_spectrum``) or a dense eigensolve's.
 
 ``closed_axis_sum`` is the fast route for lattice means. A lattice is its
 (side, count) pairs in increasing side order and a kind in ``LATTICES``.
@@ -107,14 +107,13 @@ def half_table(m: int, lattice: str = "cycle") -> tuple[np.ndarray, np.ndarray]:
 class SpectrumStream:
     """Laplacian eigenvalues ``values`` (float64), one entry per eigenvalue, N in all.
 
-    The first ``zero_multiplicity`` entries are the null modes (1 for any
-    connected graph); sums exclude them by index, never by a numeric
-    tolerance.
+    Entry 0 is the null mode: exactly 0 in a torus stream, the smallest
+    eigenvalue of a sorted spectrum. Sums exclude it by index, never by a
+    numeric tolerance.
     """
 
-    def __init__(self, values: np.ndarray, zero_multiplicity: int = 1) -> None:
+    def __init__(self, values: np.ndarray) -> None:
         self.values = values
-        self.zero_multiplicity = zero_multiplicity
 
     def lambda_block(self, lo: int, hi: int) -> np.ndarray:
         """Eigenvalues at entries [lo, hi)."""
@@ -122,8 +121,7 @@ class SpectrumStream:
 
     def inverse_terms(self, lo: int, hi: int) -> np.ndarray:
         """Summands 1 / eigenvalue at the non-null entries in [lo, hi)."""
-        lo = max(lo, self.zero_multiplicity)
-        return 1.0 / self.lambda_block(lo, hi)
+        return 1.0 / self.lambda_block(max(lo, 1), hi)
 
 
 def torus_spectrum(dims: list[int] | tuple[int, ...]) -> SpectrumStream:
@@ -146,24 +144,22 @@ def torus_spectrum(dims: list[int] | tuple[int, ...]) -> SpectrumStream:
 def stream_from_eigenvalues(eigenvalues: np.ndarray) -> SpectrumStream:
     """Wrap a dense eigensolve result as a stream of sorted eigenvalues.
 
-    Null modes are identified by the |lambda| <= 1e-9 * lambda_max rule;
-    connectivity is judged by the caller via zero_multiplicity.
+    Raises DisconnectedSpectrum unless ``null_mode_count`` finds exactly one
+    null mode, which sorting puts at entry 0.
     """
     values = np.sort(np.asarray(eigenvalues, dtype=np.float64))
-    return SpectrumStream(values, null_mode_count(values))
+    if (nulls := null_mode_count(values)) != 1:
+        raise DisconnectedSpectrum(f"{nulls} zero eigenvalues in the stream; expected 1")
+    return SpectrumStream(values)
 
 
 def spectral_rave(stream: SpectrumStream) -> ResistanceResult:
     """Average effective resistance from a spectrum: (1/N) sum 1/lambda.
 
     Uses compensated summation over the fixed block partition of the
-    stream's N entries, folded serially in block order. ``terms`` counts
-    the nonzero eigenvalues, N - 1.
+    stream's N entries, folded serially in block order, entry 0 (the null
+    mode) left out. ``terms`` counts the nonzero eigenvalues, N - 1.
     """
-    if stream.zero_multiplicity != 1:
-        raise DisconnectedSpectrum(
-            f"{stream.zero_multiplicity} zero eigenvalues in the stream; expected 1"
-        )
     n = stream.values.size
     acc = reduce_blocks(n, stream.inverse_terms)
     return ResistanceResult(acc.value / n, "spectral", n - 1, acc.err_bound / n)

@@ -197,9 +197,7 @@ def map_blocks(
     on, so a large thread count costs no extra OS threads.
     """
     threads = require_positive_int(threads, "threads")
-    workers = min(threads, len(ranges))
-    if workers > 1:
-        workers = min(workers, default_threads())
+    workers = min(threads, len(ranges), default_threads())
     if workers <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
     with ThreadPoolExecutor(max_workers=workers) as pool:

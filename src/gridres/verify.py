@@ -120,8 +120,7 @@ def _agree(name: str, value: float, reference: float, tol: float) -> CheckResult
 
 
 def _sandwich(name: str, report: BoundReport, value: float) -> CheckResult:
-    report = report.with_computed(value)
-    return CheckResult(name, bool(report.sandwich_ok), value, report.upper, (value,))
+    return CheckResult(name, bool(report.contains(value)), value, report.upper, (value,))
 
 
 def _within(name: str, value: float, band: tuple[float, float], computed: float) -> CheckResult:

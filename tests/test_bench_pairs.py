@@ -48,6 +48,7 @@ def test_trace_runs_compare_the_per_layer_metrics(monkeypatch, tmp_path):
         return subprocess.CompletedProcess(cmd, 0, stdout=f"{json.dumps(machine)}\n{json.dumps(result)}\n")
 
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda root, dest: None)
     monkeypatch.setattr(bench_pairs, "describe_working_tree", lambda: "working tree")
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     out = tmp_path / "b.json"
@@ -65,3 +66,23 @@ def test_trace_runs_compare_the_per_layer_metrics(monkeypatch, tmp_path):
     # pair 1 runs base first, pair 2 the change first
     assert entry["rounds"] == {"base": [1, 4], "change": [2, 3]}
     assert entry["metrics"]["summation.block_sum.calls"]["pairs_won"] == 1
+
+
+def test_snapshot_copies_tracked_and_untracked_files(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "snap"
+    (repo / "pkg" / "__pycache__").mkdir(parents=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "pkg" / "kept.py").write_text("tracked\n")
+    (repo / "pkg" / "gone.py").write_text("deleted\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(git + ["add", "-A"], cwd=repo, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "start"], cwd=repo, check=True)
+    (repo / "pkg" / "kept.py").write_text("edited\n")
+    (repo / "pkg" / "gone.py").unlink()
+    (repo / "pkg" / "new.py").write_text("untracked\n")
+    (repo / "pkg" / "__pycache__" / "kept.cpython.pyc").write_bytes(b"ignored")
+    bench_pairs.snapshot(repo, dest)
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "pkg/kept.py", "pkg/new.py"]
+    assert (dest / "pkg" / "kept.py").read_text() == "edited\n"

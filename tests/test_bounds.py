@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridres import (
+    InvalidFamily,
     NonIntegralSides,
     Overflow,
     bounds_hypercube,
@@ -13,7 +15,7 @@ from gridres import (
     bounds_torusd,
     scenario_bounds,
 )
-from gridres.bounds import torus2_lower_branches
+from gridres.bounds import SANDWICH_SLACK, torus2_lower_branches
 
 
 def test_torus2_square_example():
@@ -21,8 +23,7 @@ def test_torus2_square_example():
     assert report.applicable
     assert abs(report.lower - 1.0 / 24.0) <= 1e-12
     assert abs(report.upper - (math.log(4) / (2 * math.pi) + 1.0 / 12.0 + 1.0)) <= 1e-12
-    verdict = report.with_computed(0.2682291666666667)
-    assert verdict.sandwich_ok
+    assert report.contains(0.2682291666666667) is True
 
 
 def test_torus2_ratio_branch_dominates():
@@ -34,7 +35,7 @@ def test_torus2_inapplicable():
     report = bounds_torus2(3, 5)
     assert not report.applicable
     assert report.lower is None and report.upper is None
-    assert report.with_computed(1.0).sandwich_ok is None
+    assert report.contains(1.0) is None
 
 
 def test_torusd_example():
@@ -74,11 +75,48 @@ def test_torusd_inapplicable():
 def test_hypercube_examples():
     report = bounds_hypercube(2)
     assert (report.lower, report.upper) == (1.0 / 6.0, 2.0 / 3.0)
-    assert report.with_computed(5.0 / 16.0).sandwich_ok
+    assert report.contains(5.0 / 16.0) is True
     report10 = bounds_hypercube(10)
     assert abs(report10.lower - 1.0 / 22.0) <= 1e-15
     assert abs(report10.upper - 2.0 / 11.0) <= 1e-15
     assert not bounds_hypercube(1).applicable
+
+
+def test_contains_allows_the_slack_and_no_more():
+    report = bounds_hypercube(2)  # 1/6 .. 2/3
+    assert report.contains(0.5) is True
+    edge = report.lower - SANDWICH_SLACK
+    assert report.contains(edge) is True
+    assert report.contains(math.nextafter(edge, -math.inf)) is False
+    assert report.contains(math.nextafter(report.upper + SANDWICH_SLACK, math.inf)) is False
+    assert bounds_hypercube(1).contains(0.5) is None
+
+
+# Each integer argument of the five bound functions, with an integer it accepts.
+INTEGER_ARGUMENTS = [
+    ("M1", lambda x: bounds_torus2(x, 64), 4),
+    ("M2", lambda x: bounds_torus2(4, x), 64),
+    ("M", lambda x: bounds_torusd(x, 3), 4),
+    ("d", lambda x: bounds_torusd(4, x), 3),
+    ("d", bounds_hypercube, 2),
+    ("d", bounds_integral, 3),
+    ("N", lambda x: scenario_bounds(1, 4, x), 64),
+]
+
+
+@pytest.mark.parametrize("name, call, good", INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("bad", [float, lambda good: good + 0.5, lambda good: True, lambda good: math.nan])
+def test_bound_integer_arguments_refuse_floats_bools_and_nan(name, call, good, bad):
+    with pytest.raises(InvalidFamily, match=f"^{name} must be an integer"):
+        call(bad(good))
+
+
+@pytest.mark.parametrize("name, call, good", INTEGER_ARGUMENTS)
+def test_bound_integer_arguments_accept_numpy_integers(name, call, good):
+    report = call(np.int64(good))
+    assert report.applicable
+    assert report == call(good)
+    assert type(report.params[name]) is int
 
 
 def test_integral_examples():
@@ -167,6 +205,9 @@ def test_scenario_argument_errors():
         scenario_bounds(4, 1, 16)
     with pytest.raises(ValueError):
         scenario_bounds(1, 4, 0)
+    for scenario in (True, 1.0):
+        with pytest.raises(InvalidFamily, match="^scenario must be an integer"):
+            scenario_bounds(scenario, 4, 64)
 
 
 @pytest.mark.parametrize("scenario", [1, 2, 3])

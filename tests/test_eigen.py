@@ -123,6 +123,16 @@ def test_disconnected_graph_has_two_null_modes():
     assert null_mode_count(eigs) == 2
 
 
+def test_null_mode_count_edges():
+    assert null_mode_count(np.array([])) == 0
+    assert null_mode_count(np.zeros(3)) == 3
+    # a null mode is |lambda| <= 1e-9 max |lambda|, the edge included
+    assert null_mode_count(np.array([1e-9, 1.0])) == 1
+    assert null_mode_count(np.array([-1e-9, 0.0, 1.0])) == 2
+    assert null_mode_count(np.array([0.0, np.nextafter(1e-9, 1.0), 1.0])) == 1
+    assert null_mode_count(np.array([-2.0, 2e-9])) == 1
+
+
 def test_single_node():
     eigs = eigenvalues_symmetric(np.zeros((1, 1)))
     assert eigs.tolist() == [0.0]

@@ -15,6 +15,7 @@ import gridres.resistance
 import gridres.summation
 from gridres import (
     DisconnectedGraph,
+    DisconnectedSpectrum,
     Explicit,
     GroundedSolver,
     Hypercube,
@@ -451,7 +452,7 @@ def test_green_trace_never_calls_the_eigensolver(monkeypatch):
 def test_rave_disconnected_explicit_graph():
     with pytest.raises(DisconnectedGraph):
         rave(Explicit(4, [(0, 1), (2, 3)]))
-    with pytest.raises(DisconnectedGraph):
+    with pytest.raises(DisconnectedSpectrum, match="^2 zero eigenvalues in the stream; expected 1$"):
         rave_dense_spectral(Explicit(4, [(0, 1), (2, 3)]))
 
 

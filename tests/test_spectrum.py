@@ -13,6 +13,7 @@ from gridres import (
     Hypercube,
     Overflow,
     SizeExceeded,
+    SpectrumStream,
     Torus,
     build_laplacian,
     eigenvalues_symmetric,
@@ -167,17 +168,26 @@ def test_spectral_rave_multi_block():
 
 
 def test_disconnected_spectrum_rejected():
+    # two edges on four nodes have two null modes; the stream is refused when made
     eigs = eigenvalues_symmetric(build_laplacian(Explicit(4, [(0, 1), (2, 3)])))
-    stream = stream_from_eigenvalues(eigs)
-    assert stream.zero_multiplicity == 2
-    with pytest.raises(DisconnectedSpectrum):
-        spectral_rave(stream)
+    with pytest.raises(DisconnectedSpectrum, match="^2 zero eigenvalues in the stream; expected 1$"):
+        stream_from_eigenvalues(eigs)
+    with pytest.raises(DisconnectedSpectrum, match="^0 zero eigenvalues in the stream; expected 1$"):
+        stream_from_eigenvalues(np.array([1.0, 2.0]))
 
 
 def test_single_node_stream():
+    # one node: its one eigenvalue is the null mode, and no terms remain
     stream = stream_from_eigenvalues(np.zeros(1))
-    assert stream.zero_multiplicity == 1
+    assert stream.values.tolist() == [0.0]
     assert spectral_rave(stream).value == 0.0
+
+
+def test_spectral_rave_leaves_out_entry_zero_by_index():
+    # entry 0 is the null mode by contract, whatever its value
+    res = spectral_rave(SpectrumStream(np.array([0.5, 2.0, 4.0, 8.0])))
+    assert res.value == (0.5 + 0.25 + 0.125) / 4
+    assert res.terms == 3
 
 
 def test_contribution_table_symmetry():

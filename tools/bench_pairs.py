@@ -3,17 +3,20 @@
     python3 tools/bench_pairs.py --base REV --workload W --seed S --seconds T \
         --pairs N --label X [--trace 0|1] [--out PATH]
 
-Exports REV with ``git archive`` into a temporary directory and runs
-``perfbench/run.py --trace T`` there and in the working tree, N times
-each, alternating which side goes first. Writes ``BENCH_<label>.json`` at
-the repository root (or PATH) with run.py's machine line, each side's
-median and quartiles per metric, and the pairs the change won. With
-``--trace 0`` (the default) the metrics are the end-to-end metrics of the
-working tree's BENCHMARK.json, kept under ``workloads``; with ``--trace 1``
-they are its per-layer metrics, kept under ``layers``. One file holds one
-entry per workload and section: running another workload, or the other
-trace setting, adds its entry and keeps the others. Exits 1 if any run
-reports an incorrect output or a failed operation.
+Exports REV with ``git archive`` into a temporary directory, copies the
+working tree's files as they are at start (tracked and untracked, not
+ignored) into another, and runs ``perfbench/run.py --trace T`` in each, N
+times, alternating which side goes first. Edits made during a run do not
+reach it, and neither side starts with a bytecode cache. Writes
+``BENCH_<label>.json`` at the repository root (or PATH) with run.py's
+machine line, each side's median and quartiles per metric, and the pairs
+the change won. With ``--trace 0`` (the default) the metrics are the
+end-to-end metrics of the working tree's BENCHMARK.json, kept under
+``workloads``; with ``--trace 1`` they are its per-layer metrics, kept
+under ``layers``. One file holds one entry per workload and section:
+running another workload, or the other trace setting, adds its entry and
+keeps the others. Exits 1 if any run reports an incorrect output or a
+failed operation.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -41,6 +45,17 @@ def export(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         tar.extractall(dest, filter="data")
     return commit
+
+
+def snapshot(root: Path, dest: Path) -> None:
+    """Copy the files of the working tree at ``root`` that git tracks or would track into ``dest``."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=root, check=True, capture_output=True, text=True).stdout.split("\0")
+    for name in filter(None, listed):
+        source = root / name
+        if source.is_file():  # a deleted file stays listed until the deletion is staged
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def describe_working_tree() -> str:
@@ -96,8 +111,10 @@ def main(argv: list[str] | None = None) -> int:
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     machines: dict[str, list[dict]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        commit = export(args.base, Path(tmp))
-        roots = {"base": Path(tmp), "change": ROOT}
+        roots = {"base": Path(tmp, "base"), "change": Path(tmp, "change")}
+        commit = export(args.base, roots["base"])
+        snapshot(ROOT, roots["change"])
+        change = describe_working_tree()
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
@@ -112,7 +129,7 @@ def main(argv: list[str] | None = None) -> int:
     record["label"] = args.label
     record.setdefault("layers" if args.trace else "workloads", {})[args.workload] = {
         "base": commit,
-        "change": describe_working_tree(),
+        "change": change,
         "seed": args.seed,
         "seconds": args.seconds,
         "trace": args.trace,
